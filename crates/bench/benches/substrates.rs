@@ -7,7 +7,8 @@
 use std::hint::black_box;
 
 use bc_bench::{dense_network, point_cloud};
-use bc_core::{generate_bundles, BundleStrategy, CandidateFamily};
+use bc_core::{BundleStrategy, CandidateFamily, ChargingBundle, PlanContext, PlannerConfig};
+use bc_wsn::Network;
 use bc_geom::{sed, tangency, Disk, Point};
 use bc_setcover::{exact_cover, greedy_cover, BitSet, Instance};
 use bc_tsp::{construct, exact, improve, DistanceMatrix};
@@ -83,6 +84,17 @@ fn bench_tsp(c: &mut Criterion) {
     g.finish();
 }
 
+/// Bundle selection through a fresh one-worker context, so the candidate
+/// build stays inside the timed region.
+fn bundles_of(net: &Network, r: f64, strategy: BundleStrategy) -> Vec<ChargingBundle> {
+    let mut cfg = PlannerConfig::paper_sim(r);
+    cfg.bundle_strategy = strategy;
+    PlanContext::new(net.clone(), cfg)
+        .with_workers(1)
+        .bundles()
+        .unwrap_or_else(|e| panic!("bundle generation: {e}"))
+}
+
 fn bench_candidates_and_cover(c: &mut Criterion) {
     let mut g = c.benchmark_group("obg");
     g.sample_size(20);
@@ -94,15 +106,15 @@ fn bench_candidates_and_cover(c: &mut Criterion) {
             b.iter(|| CandidateFamily::pair_intersection(black_box(&net), 25.0))
         });
         g.bench_function(format!("generate_greedy_{n}"), |b| {
-            b.iter(|| generate_bundles(black_box(&net), bc_units::Meters(25.0), BundleStrategy::Greedy))
+            b.iter(|| bundles_of(black_box(&net), 25.0, BundleStrategy::Greedy))
         });
         g.bench_function(format!("generate_grid_{n}"), |b| {
-            b.iter(|| generate_bundles(black_box(&net), bc_units::Meters(25.0), BundleStrategy::Grid))
+            b.iter(|| bundles_of(black_box(&net), 25.0, BundleStrategy::Grid))
         });
     }
     let net = dense_network(40, 3);
     g.bench_function("generate_optimal_40", |b| {
-        b.iter(|| generate_bundles(black_box(&net), bc_units::Meters(25.0), BundleStrategy::Optimal))
+        b.iter(|| bundles_of(black_box(&net), 25.0, BundleStrategy::Optimal))
     });
     // Pure set-cover kernels on a synthetic instance.
     let universe = 120;

@@ -85,10 +85,10 @@ fn run(args: &[String]) -> Result<(), String> {
     let net = dense_network(n, seed);
 
     let t0 = Instant::now();
-    let serial = CandidateFamily::pair_intersection_par(&net, RADIUS_M, 1); // context-ok: benchmarking the enumeration kernel itself
+    let serial = CandidateFamily::pair_intersection_par(&net, RADIUS_M, 1);
     let serial_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let parallel = CandidateFamily::pair_intersection_par(&net, RADIUS_M, workers); // context-ok: benchmarking the enumeration kernel itself
+    let parallel = CandidateFamily::pair_intersection_par(&net, RADIUS_M, workers);
     let parallel_s = t1.elapsed().as_secs_f64();
     if serial.candidates != parallel.candidates {
         return Err("parallel candidate family differs from serial".into());

@@ -1,17 +1,19 @@
 //! Shared planning context: one build of the expensive artifacts, a
 //! staged pipeline over them, and per-stage wall-clock timing.
 //!
-//! Every planner entry point used to independently rebuild the same
-//! expensive artifacts — the pair-intersection [`CandidateFamily`], the
-//! sensor [`DistanceMatrix`], the per-sensor receive-power table. A
-//! [`PlanContext`] owns those artifacts behind `OnceLock`s, so a sweep
-//! that runs four algorithms on one network builds each artifact at most
-//! once, and [`BuildCounters`] makes that reuse observable in tests.
+//! This is the one planning path. A [`PlanContext`] owns the expensive
+//! artifacts — the pair-intersection [`CandidateFamily`], the sensor
+//! [`DistanceMatrix`], the per-sensor receive-power table — behind
+//! `OnceLock`s, so a sweep that runs four algorithms on one network
+//! builds each artifact at most once, and [`BuildCounters`] makes that
+//! reuse observable in tests.
 //!
-//! The four planners are re-expressed as compositions of [`PlanStage`]s
+//! The four planners are compositions of [`PlanStage`]s
 //! (`Candidates → Cover → Order → Tighten`, see [`stages_for`]); running
 //! them through [`PlanContext::plan`] records a [`StageTimings`] that
 //! [`StagedPlan::metrics`] surfaces through [`Metrics`].
+//! [`PlanContext::bundles`] exposes the BC Cover stage's bundle
+//! selection on its own.
 //!
 //! When a [`bc_obs`] recorder is active, each stage also emits a
 //! `"plan"`-scoped span carrying the algorithm, a cache hit/miss flag,
@@ -61,18 +63,9 @@ use bc_units::{Joules, Seconds};
 use bc_wpt::ReceivePowerTable;
 use bc_wsn::Network;
 
-use crate::generation::BundleStrategy;
+use crate::generation::{cover_bundles, BundleStrategy};
 use crate::planner::Algorithm;
 use crate::{CandidateFamily, ChargingBundle, ChargingPlan, Metrics, PlanError, PlannerConfig, Stop};
-
-/// Builds the pair-intersection candidate family serially.
-///
-/// The single sanctioned construction site outside `PlanContext` itself:
-/// the legacy one-shot generators route through here so the
-/// `context-bypass` lint can pin every other direct construction.
-pub(crate) fn serial_candidate_family(net: &Network, r: f64) -> CandidateFamily {
-    CandidateFamily::pair_intersection(net, r)
-}
 
 /// The worker count a [`PlanContext`] uses unless overridden: the
 /// machine's available parallelism, or 1 when that cannot be queried.
@@ -189,8 +182,7 @@ impl Default for StageTimings {
 /// produced it.
 #[derive(Debug, Clone)]
 pub struct StagedPlan {
-    /// The charging plan, identical to the one the legacy one-shot
-    /// planner produces for the same inputs.
+    /// The charging plan.
     pub plan: ChargingPlan,
     /// Per-stage wall-clock times.
     pub timings: StageTimings,
@@ -373,8 +365,7 @@ pub struct StageState {
 /// One stage of the planning pipeline.
 ///
 /// Stages are infallible: input validation happens once in
-/// [`PlanContext::plan`] before any stage runs, mirroring the legacy
-/// `try_run` contract.
+/// [`PlanContext::plan`] before any stage runs.
 pub trait PlanStage {
     /// Which pipeline slot this stage occupies (used for timing).
     fn kind(&self) -> StageKind;
@@ -490,27 +481,13 @@ impl PlanStage for BcCover {
     }
 
     fn run(&self, ctx: &PlanContext, state: &mut StageState) {
-        let net = ctx.network();
-        let cfg = ctx.config();
-        let bundles = if net.is_empty() {
-            Vec::new()
-        } else {
-            match cfg.bundle_strategy {
-                BundleStrategy::Grid => crate::generation::grid_bundles(net, cfg.bundle_radius),
-                BundleStrategy::Greedy => {
-                    crate::generation::cover_bundles(net, ctx.candidates(), false)
-                }
-                BundleStrategy::Optimal => {
-                    crate::generation::cover_bundles(net, ctx.candidates(), true)
-                }
-            }
-        };
-        state.stops = crate::planner::stops_for_bundles(bundles, net, cfg);
+        state.stops =
+            crate::planner::stops_for_bundles(ctx.select_bundles(), ctx.network(), ctx.config());
     }
 }
 
 /// Shared Order stage: TSP over the stop anchors (plus the optional base
-/// way-point), exactly as the legacy planners order their stops.
+/// way-point).
 struct TourOrder;
 
 impl PlanStage for TourOrder {
@@ -530,8 +507,7 @@ impl PlanStage for TourOrder {
 }
 
 /// CSS order: like [`TourOrder`], except an empty network short-circuits
-/// to an empty plan (legacy `css` returns before the base way-point is
-/// ever added).
+/// to an empty plan (no base way-point is ever added).
 struct CssOrder;
 
 impl PlanStage for CssOrder {
@@ -754,11 +730,59 @@ impl PlanContext {
         let _ = self.sensor_matrix.set(matrix);
     }
 
+    /// The bundle family the BC Cover stage selects: radius
+    /// `cfg.bundle_radius` bundles under `cfg.bundle_strategy`, built
+    /// from the cached candidate family.
+    ///
+    /// Every sensor is assigned to exactly one bundle (the one that first
+    /// covered it), and each bundle's anchor is recentred to the smallest
+    /// enclosing disk of its *assigned* members, so `enclosing_radius <= r`
+    /// always holds on the output. An empty network yields no bundles.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PlanContext::plan`].
+    pub fn bundles(&self) -> Result<Vec<ChargingBundle>, PlanError> {
+        self.validate_inputs()?;
+        Ok(self.select_bundles())
+    }
+
+    /// Runs only `algo`'s Cover stage and returns its unordered stops,
+    /// for planners that order the stops themselves
+    /// ([`crate::terrain::plan_with_terrain`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PlanContext::plan`].
+    pub(crate) fn cover(&self, algo: Algorithm) -> Result<Vec<Stop>, PlanError> {
+        self.validate_inputs()?;
+        let mut state = StageState::default();
+        for stage in stages_for(algo) {
+            if stage.kind() == StageKind::Cover {
+                stage.run(self, &mut state);
+            }
+        }
+        Ok(state.stops)
+    }
+
+    /// Bundle selection shared by [`PlanContext::bundles`] and the BC
+    /// Cover stage; inputs are already validated.
+    fn select_bundles(&self) -> Vec<ChargingBundle> {
+        let net = self.network();
+        if net.is_empty() {
+            return Vec::new();
+        }
+        match self.cfg.bundle_strategy {
+            BundleStrategy::Grid => crate::generation::grid_bundles(net, self.cfg.bundle_radius),
+            BundleStrategy::Greedy => cover_bundles(net, self.candidates(), false),
+            BundleStrategy::Optimal => cover_bundles(net, self.candidates(), true),
+        }
+    }
+
     /// Runs the algorithm's stage pipeline over this context.
     ///
-    /// Validates the configuration and demands first (same contract as
-    /// [`crate::planner::try_run`]), times each stage, and debug-asserts
-    /// the planner contracts on the result.
+    /// Validates the configuration and demands first, times each stage,
+    /// and debug-asserts the planner contracts on the result.
     ///
     /// # Errors
     ///
@@ -798,9 +822,8 @@ impl PlanContext {
         Ok(out)
     }
 
-    /// Input validation shared by [`PlanContext::plan`] and
-    /// [`PlanContext::plan_budgeted`] (same contract as the legacy
-    /// `try_run`).
+    /// Input validation shared by [`PlanContext::plan`],
+    /// [`PlanContext::plan_budgeted`] and [`PlanContext::bundles`].
     fn validate_inputs(&self) -> Result<(), PlanError> {
         self.cfg.validate()?;
         for s in self.net.sensors() {
@@ -828,10 +851,10 @@ impl PlanContext {
         }
     }
 
-    /// Budget-aware pipeline core: `budget = None` runs every stage
-    /// (the [`PlanContext::plan`] path, byte-identical to the historical
-    /// behaviour); `Some` checks [`StageBudget::exhausted`] before each
-    /// stage and stops at the first exhausted boundary.
+    /// Budget-aware pipeline core: `budget = None` runs every stage (the
+    /// [`PlanContext::plan`] path); `Some` checks
+    /// [`StageBudget::exhausted`] before each stage and stops at the
+    /// first exhausted boundary.
     fn run_stages_budgeted(&self, algo: Algorithm, budget: Option<&StageBudget>) -> BudgetedPlan {
         let stages = stages_for(algo);
         let stages_total = stages.len();
@@ -899,22 +922,12 @@ impl PlanContext {
             s.add_field("stages_run", stages_run);
             s.finish();
         }
-        let completed = stages_run == stages_total;
-        let plan = match state.plan.take() {
-            Some(plan) => Some(StagedPlan { plan, timings }),
-            // The historical fallback: a pipeline that ran to the end
-            // without an Order stage yields its bare stops. A *cut*
-            // pipeline must not — unordered leftovers are not "the best
-            // plan completed so far".
-            None if completed => Some(StagedPlan {
-                plan: ChargingPlan::new(std::mem::take(&mut state.stops), self.net.len()),
-                timings,
-            }),
-            None => None,
-        };
+        // Every pipeline has an Order stage, so a plan exists exactly
+        // when the run got past it; unordered Cover leftovers of a cut
+        // run are never surfaced.
         BudgetedPlan {
-            plan,
-            completed,
+            plan: state.plan.take().map(|plan| StagedPlan { plan, timings }),
+            completed: stages_run == stages_total,
             stages_run,
             stages_total,
         }
@@ -1068,21 +1081,23 @@ mod tests {
         assert_eq!(ctx.counters().power_table_builds(), 1);
     }
 
+    /// [`ChargingPlan::digest`] of every algorithm's plan (in
+    /// [`Algorithm::ALL`] order) on `uniform(40, 300 m, seed)` at r = 20 m,
+    /// pinned when the one-shot planner functions were retired.
+    const GOLDEN: [(u64, [u64; 4]); 3] = [
+        (1, [0xa8fc5a7482c55f1f, 0x3fd25e1e7d2df0dd, 0xa7114b16bc73114d, 0xb7f056939a0e3fdd]),
+        (2, [0x82566ffbc47f4565, 0xd8fa02525698d88f, 0x40b411a147d46dfe, 0xc033e5b60381ed3b]),
+        (3, [0x095d6be59c27844c, 0xfb0c6e997243fec4, 0x047c2522b88d52c2, 0x6f3dc7eecd065707]),
+    ];
+
     #[test]
-    fn pipeline_matches_legacy_planners() {
-        for seed in [1u64, 2, 3] {
+    fn pipeline_matches_golden_digests() {
+        for (seed, digests) in GOLDEN {
             let net = deploy::uniform(40, Aabb::square(300.0), 2.0, seed);
-            let cfg = PlannerConfig::paper_sim(20.0);
-            let ctx = PlanContext::new(net.clone(), cfg.clone());
-            for algo in Algorithm::ALL {
-                let staged = ctx.plan(algo).unwrap();
-                let legacy = match algo {
-                    Algorithm::Sc => crate::planner::single_charging(&net, &cfg),
-                    Algorithm::Css => crate::planner::css(&net, &cfg),
-                    Algorithm::Bc => crate::planner::bundle_charging(&net, &cfg),
-                    Algorithm::BcOpt => crate::planner::bundle_charging_opt(&net, &cfg),
-                };
-                assert_eq!(staged.plan, legacy, "seed {seed} {algo}");
+            let ctx = PlanContext::new(net, PlannerConfig::paper_sim(20.0));
+            for (algo, want) in Algorithm::ALL.into_iter().zip(digests) {
+                let got = ctx.plan(algo).unwrap().plan.digest();
+                assert_eq!(got, want, "seed {seed} {algo}: {got:#018x}");
             }
         }
     }

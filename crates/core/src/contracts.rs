@@ -17,8 +17,8 @@
 //! The `check_*` functions return a typed [`ContractViolation`] so they
 //! can be used in tests and tools; the `debug_assert_*` wrappers compile
 //! to nothing in release builds and are wired into
-//! [`crate::planner::try_run`], [`crate::planner::bundle_charging_opt`]
-//! and the executor, so every debug-mode test run exercises them.
+//! [`crate::context::PlanContext::plan`], the BC-OPT Tighten stage and
+//! the executor, so every debug-mode test run exercises them.
 
 use std::fmt;
 
@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn shortened_dwell_is_caught() {
         let (net, cfg) = net_and_cfg();
-        let mut plan = planner::bundle_charging(&net, &cfg);
+        let mut plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let i = plan
             .stops
             .iter()
@@ -324,14 +324,14 @@ mod tests {
     fn worst_case_policy_accepts_over_dwell() {
         let (net, mut cfg) = net_and_cfg();
         cfg.dwell_policy = DwellPolicy::RadiusWorstCase;
-        let plan = planner::bundle_charging(&net, &cfg);
+        let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         check_dwell_times(&plan, &net, &cfg).expect("over-dwell is allowed");
     }
 
     #[test]
     fn dropped_sensor_is_caught() {
         let (net, cfg) = net_and_cfg();
-        let mut plan = planner::bundle_charging(&net, &cfg);
+        let mut plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         plan.stops.pop();
         assert!(matches!(
             check_cover(&plan, &net),

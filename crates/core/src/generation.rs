@@ -1,6 +1,8 @@
 //! Charging bundle generation (the OBG problem, Section IV).
 //!
-//! Three generators, matching the comparison of Fig. 11:
+//! [`crate::context::PlanContext::bundles`] selects a bundle family with
+//! the configured [`BundleStrategy`]; the BC Cover stage runs the same
+//! selection. Three generators, matching the comparison of Fig. 11:
 //!
 //! * [`BundleStrategy::Greedy`] — the paper's Algorithm 2: build the
 //!   candidate family, then greedily select the candidate covering the
@@ -30,56 +32,14 @@ pub enum BundleStrategy {
     Optimal,
 }
 
-/// Generates a bundle family covering every sensor with bundles of radius
-/// at most `r`.
-///
-/// Every sensor is assigned to exactly one bundle (the one that first
-/// covered it), and each bundle's anchor is recentred to the smallest
-/// enclosing disk of its *assigned* members, so `enclosing_radius <= r`
-/// always holds on the output.
-///
-/// Returns an empty vector for an empty network.
-///
-/// # Panics
-///
-/// Panics if `r` is not positive and finite.
-pub fn generate_bundles(net: &Network, r: Meters, strategy: BundleStrategy) -> Vec<ChargingBundle> {
-    assert!(r.is_finite() && r > Meters(0.0), "bundle radius must be positive");
-    if net.is_empty() {
-        return Vec::new();
-    }
-    match strategy {
-        BundleStrategy::Greedy => {
-            cover_bundles(net, &crate::context::serial_candidate_family(net, r.0), false)
-        }
-        BundleStrategy::Optimal => {
-            cover_bundles(net, &crate::context::serial_candidate_family(net, r.0), true)
-        }
-        BundleStrategy::Grid => grid_bundles(net, r),
-    }
-}
-
-enum CoverKind {
-    Greedy,
-    Exact,
-}
-
-/// Runs set cover over a (possibly shared) candidate family and
-/// materialises the selected candidates as disjoint bundles. The staged
-/// pipeline's Cover stage calls this with the family cached on a
-/// `PlanContext`, so one build serves every algorithm of a sweep.
+/// Runs set cover over a candidate family — greedy (Algorithm 2), or
+/// exact branch and bound when `exact` — and materialises the selected
+/// candidates as disjoint bundles.
 pub(crate) fn cover_bundles(
     net: &Network,
     family: &CandidateFamily,
     exact: bool,
 ) -> Vec<ChargingBundle> {
-    let kind = if exact { CoverKind::Exact } else { CoverKind::Greedy };
-    from_cover(net, family, kind)
-}
-
-/// Runs set cover over a candidate family and materialises the selected
-/// candidates as disjoint bundles.
-fn from_cover(net: &Network, family: &CandidateFamily, kind: CoverKind) -> Vec<ChargingBundle> {
     let n = net.len();
     let sets: Vec<BitSet> = family.candidates.iter().map(|c| c.members.clone()).collect();
     // Candidate families always cover the network (each sensor is its own
@@ -90,9 +50,10 @@ fn from_cover(net: &Network, family: &CandidateFamily, kind: CoverKind) -> Vec<C
             .map(|i| ChargingBundle::from_members(vec![i], net))
             .collect();
     };
-    let selected = match kind {
-        CoverKind::Greedy => greedy_cover(&inst),
-        CoverKind::Exact => exact_cover(&inst, Some(5_000_000)).unwrap_or_else(|| greedy_cover(&inst)),
+    let selected = if exact {
+        exact_cover(&inst, Some(5_000_000)).unwrap_or_else(|| greedy_cover(&inst))
+    } else {
+        greedy_cover(&inst)
     };
     materialise(net, family, &selected)
 }
@@ -187,21 +148,37 @@ pub fn is_valid_partition(bundles: &[ChargingBundle], net: &Network, r: Meters) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PlanContext, PlanError, PlannerConfig};
     use bc_geom::Aabb;
     use bc_units::Meters;
     use bc_wsn::deploy;
 
+    fn bundles_of(net: &Network, r: Meters, strategy: BundleStrategy) -> Vec<ChargingBundle> {
+        let mut cfg = PlannerConfig::paper_sim(r.0);
+        cfg.bundle_strategy = strategy;
+        PlanContext::new(net.clone(), cfg).bundles().unwrap()
+    }
+
+    #[test]
+    fn bad_radius_is_a_typed_error() {
+        let net = deploy::uniform(10, Aabb::square(100.0), 2.0, 1);
+        for r in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let ctx = PlanContext::new(net.clone(), PlannerConfig::paper_sim(r));
+            assert!(matches!(ctx.bundles(), Err(PlanError::Config(_))), "r = {r}");
+        }
+    }
+
     #[test]
     fn greedy_produces_valid_partition() {
         let net = deploy::uniform(80, Aabb::square(500.0), 2.0, 21);
-        let bundles = generate_bundles(&net, Meters(40.0), BundleStrategy::Greedy);
+        let bundles = bundles_of(&net, Meters(40.0), BundleStrategy::Greedy);
         assert!(is_valid_partition(&bundles, &net, Meters(40.0)));
     }
 
     #[test]
     fn grid_produces_valid_partition() {
         let net = deploy::uniform(80, Aabb::square(500.0), 2.0, 21);
-        let bundles = generate_bundles(&net, Meters(40.0), BundleStrategy::Grid);
+        let bundles = bundles_of(&net, Meters(40.0), BundleStrategy::Grid);
         assert!(is_valid_partition(&bundles, &net, Meters(40.0)));
     }
 
@@ -209,9 +186,9 @@ mod tests {
     fn optimal_produces_valid_partition_and_fewest_bundles() {
         let net = deploy::uniform(25, Aabb::square(200.0), 2.0, 4);
         let r = Meters(40.0);
-        let greedy = generate_bundles(&net, r, BundleStrategy::Greedy);
-        let grid = generate_bundles(&net, r, BundleStrategy::Grid);
-        let optimal = generate_bundles(&net, r, BundleStrategy::Optimal);
+        let greedy = bundles_of(&net, r, BundleStrategy::Greedy);
+        let grid = bundles_of(&net, r, BundleStrategy::Grid);
+        let optimal = bundles_of(&net, r, BundleStrategy::Optimal);
         assert!(is_valid_partition(&optimal, &net, r));
         assert!(optimal.len() <= greedy.len());
         assert!(optimal.len() <= grid.len());
@@ -221,8 +198,8 @@ mod tests {
     fn greedy_within_ln_n_of_optimal() {
         let net = deploy::uniform(30, Aabb::square(300.0), 2.0, 13);
         let r = Meters(50.0);
-        let greedy = generate_bundles(&net, r, BundleStrategy::Greedy).len() as f64;
-        let optimal = generate_bundles(&net, r, BundleStrategy::Optimal).len() as f64;
+        let greedy = bundles_of(&net, r, BundleStrategy::Greedy).len() as f64;
+        let optimal = bundles_of(&net, r, BundleStrategy::Optimal).len() as f64;
         let bound = (30f64).ln() + 1.0;
         assert!(greedy <= bound * optimal + 1e-9);
     }
@@ -230,7 +207,7 @@ mod tests {
     #[test]
     fn tiny_radius_gives_singletons() {
         let net = deploy::uniform(20, Aabb::square(1000.0), 2.0, 2);
-        let bundles = generate_bundles(&net, Meters(0.5), BundleStrategy::Greedy);
+        let bundles = bundles_of(&net, Meters(0.5), BundleStrategy::Greedy);
         // At radius 0.5 m in a 1 km field, every sensor is its own bundle
         // (with overwhelming probability under this seed).
         assert_eq!(bundles.len(), 20);
@@ -240,7 +217,7 @@ mod tests {
     #[test]
     fn huge_radius_gives_one_bundle() {
         let net = deploy::uniform(15, Aabb::square(100.0), 2.0, 7);
-        let bundles = generate_bundles(&net, Meters(200.0), BundleStrategy::Greedy);
+        let bundles = bundles_of(&net, Meters(200.0), BundleStrategy::Greedy);
         assert_eq!(bundles.len(), 1);
         assert_eq!(bundles[0].len(), 15);
     }
@@ -248,8 +225,8 @@ mod tests {
     #[test]
     fn larger_radius_never_needs_more_greedy_bundles() {
         let net = deploy::uniform(60, Aabb::square(400.0), 2.0, 17);
-        let small = generate_bundles(&net, Meters(20.0), BundleStrategy::Greedy).len();
-        let large = generate_bundles(&net, Meters(60.0), BundleStrategy::Greedy).len();
+        let small = bundles_of(&net, Meters(20.0), BundleStrategy::Greedy).len();
+        let large = bundles_of(&net, Meters(60.0), BundleStrategy::Greedy).len();
         assert!(large <= small);
     }
 
@@ -257,7 +234,7 @@ mod tests {
     fn empty_network() {
         let net = deploy::uniform(0, Aabb::square(10.0), 2.0, 0);
         for s in [BundleStrategy::Greedy, BundleStrategy::Grid, BundleStrategy::Optimal] {
-            assert!(generate_bundles(&net, Meters(5.0), s).is_empty());
+            assert!(bundles_of(&net, Meters(5.0), s).is_empty());
         }
     }
 
@@ -267,8 +244,8 @@ mod tests {
             let net = deploy::uniform(25, Aabb::square(250.0), 2.0, seed);
             for r in [Meters(20.0), Meters(40.0), Meters(80.0)] {
                 let lb = packing_lower_bound(&net, r);
-                let optimal = generate_bundles(&net, r, BundleStrategy::Optimal).len();
-                let greedy = generate_bundles(&net, r, BundleStrategy::Greedy).len();
+                let optimal = bundles_of(&net, r, BundleStrategy::Optimal).len();
+                let greedy = bundles_of(&net, r, BundleStrategy::Greedy).len();
                 assert!(lb <= optimal, "seed {seed} r {r}: lb {lb} > opt {optimal}");
                 assert!(optimal <= greedy);
             }
@@ -285,7 +262,7 @@ mod tests {
             2.0,
         );
         assert_eq!(packing_lower_bound(&net, Meters(10.0)), 4);
-        assert_eq!(generate_bundles(&net, Meters(10.0), BundleStrategy::Greedy).len(), 4);
+        assert_eq!(bundles_of(&net, Meters(10.0), BundleStrategy::Greedy).len(), 4);
     }
 
     #[test]
@@ -296,7 +273,7 @@ mod tests {
             Aabb::square(100.0),
             2.0,
         );
-        let bundles = generate_bundles(&net, Meters(10.0), BundleStrategy::Grid);
+        let bundles = bundles_of(&net, Meters(10.0), BundleStrategy::Grid);
         assert!(is_valid_partition(&bundles, &net, Meters(10.0)));
     }
 }

@@ -12,24 +12,28 @@
 //!    minimum-cardinality family of radius-`r` bundles covering all
 //!    sensors, with the paper's greedy Algorithm 2 (`ln n + 1`
 //!    approximation), a grid baseline, and an exact branch-and-bound
-//!    optimum.
+//!    optimum ([`PlanContext::bundles`]).
 //! 2. **Bundle Trajectory Optimization (BTO)** — [`planner`] turns a
-//!    bundle family into a charging tour. Four planners are provided:
-//!    [`planner::single_charging`] (SC), [`planner::css`]
-//!    (Combine–Skip–Substitute), [`planner::bundle_charging`] (BC) and
-//!    [`planner::bundle_charging_opt`] (BC-OPT, Algorithm 3 with the
-//!    Theorem 4/5 tangency search).
+//!    bundle family into a charging tour. Four algorithms are provided
+//!    ([`planner::Algorithm`]): SC, CSS (Combine–Skip–Substitute), BC and
+//!    BC-OPT (Algorithm 3 with the Theorem 4/5 tangency search).
+//!
+//! Every plan comes from the [`context`] stage pipeline:
+//! [`planner::try_run`] for one plan, a [`PlanContext`] to plan several
+//! algorithms over one network with shared artifacts, and a
+//! [`ContextCache`] to replan as the network changes.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use bc_core::{PlannerConfig, planner};
+//! use bc_core::planner::{try_run, Algorithm};
+//! use bc_core::PlannerConfig;
 //! use bc_wsn::deploy;
 //! use bc_geom::Aabb;
 //!
 //! let net = deploy::uniform(40, Aabb::square(1000.0), 2.0, 1);
 //! let cfg = PlannerConfig::paper_sim(10.0);
-//! let plan = planner::bundle_charging_opt(&net, &cfg);
+//! let plan = try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
 //! assert!(plan.validate(&net, &cfg.charging).is_ok());
 //! let m = plan.metrics(&cfg.energy);
 //! assert!(m.total_energy_j > bc_units::Joules(0.0));
@@ -64,7 +68,7 @@ pub use context::{
 pub use contracts::ContractViolation;
 pub use execute::{ExecError, ExecutedStop, ExecutionReport, Executor, RecoveryPolicy};
 pub use faults::{FaultModel, FaultModelError, FaultSchedule};
-pub use generation::{generate_bundles, BundleStrategy};
+pub use generation::BundleStrategy;
 pub use multi::{plan_fleet, try_plan_fleet, MultiChargerPlan};
 pub use plan::{ChargingPlan, Metrics, PlanError, Stop};
 pub use replan::{add_sensor, remove_sensor};

@@ -231,6 +231,7 @@ fn cluster(points: &[Point], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::try_run;
     use bc_geom::Aabb;
     use bc_wsn::deploy;
 
@@ -245,7 +246,7 @@ mod tests {
     fn one_charger_matches_single_planner() {
         let (net, cfg) = setup();
         let fleet = plan_fleet(&net, &cfg, Algorithm::Bc, 1);
-        let single = crate::planner::bundle_charging(&net, &cfg);
+        let single = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         assert_eq!(fleet.num_chargers(), 1);
         let e_fleet = fleet.total_energy_j(&cfg.energy);
         let e_single = single.metrics(&cfg.energy).total_energy_j;

@@ -275,6 +275,36 @@ impl ChargingPlan {
         }
         Ok(())
     }
+
+    /// FNV-1a fingerprint of the plan's exact bits: sensor and stop
+    /// counts, then per stop in visit order its members, anchor,
+    /// enclosing radius and dwell. Two plans share a digest exactly when
+    /// they are equal, up to hash collisions, so golden regression tests
+    /// can pin a plan as one constant.
+    pub fn digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let count = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+        fold(count(self.num_sensors));
+        fold(count(self.stops.len()));
+        for stop in &self.stops {
+            let b = &stop.bundle;
+            fold(count(b.sensors.len()));
+            for &m in &b.sensors {
+                fold(count(m));
+            }
+            fold(b.anchor.x.to_bits());
+            fold(b.anchor.y.to_bits());
+            fold(b.enclosing_radius.0.to_bits());
+            fold(stop.dwell.0.to_bits());
+        }
+        h
+    }
 }
 
 impl fmt::Display for ChargingPlan {

@@ -1,28 +1,19 @@
 //! Bundle Charging (BC): greedy bundles + TSP over anchor points.
+//!
+//! The BC Cover stage selects a bundle family with the configured
+//! strategy (greedy Algorithm 2 by default, see
+//! [`crate::context::PlanContext::bundles`]) and parks at each bundle's
+//! smallest-enclosing-disk center; the Order stage connects the anchors
+//! with a TSP tour.
 
 use bc_wsn::Network;
 
 use crate::config::DwellPolicy;
-use crate::planner::order_into_plan;
-use crate::{generate_bundles, ChargingPlan, PlannerConfig, Stop};
-
-/// The paper's Bundle Charging algorithm: generate radius-`r` bundles
-/// with the configured strategy (greedy Algorithm 2 by default), park at
-/// each bundle's smallest-enclosing-disk center, and connect the anchors
-/// with a TSP tour.
-///
-/// Dwell times follow `cfg.dwell_policy`.
-pub fn bundle_charging(net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
-    let bundles = generate_bundles(net, cfg.bundle_radius, cfg.bundle_strategy);
-    let stops = stops_for_bundles(bundles, net, cfg);
-    order_into_plan(stops, net, &cfg.tsp, cfg.include_base)
-}
+use crate::{ChargingBundle, PlannerConfig, Stop};
 
 /// Turns a bundle family into charging stops under `cfg.dwell_policy`.
-/// Shared between [`bundle_charging`] and the staged pipeline's BC Cover
-/// stage, which supplies bundles covered from a cached candidate family.
 pub(crate) fn stops_for_bundles(
-    bundles: Vec<crate::ChargingBundle>,
+    bundles: Vec<ChargingBundle>,
     net: &Network,
     cfg: &PlannerConfig,
 ) -> Vec<Stop> {
@@ -40,16 +31,20 @@ pub(crate) fn stops_for_bundles(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::planner::single_charging;
+    use crate::planner::{try_run, Algorithm};
+    use crate::{ChargingPlan, PlannerConfig};
     use bc_geom::Aabb;
-    use bc_wsn::deploy;
+    use bc_wsn::{deploy, Network};
+
+    fn plan(algo: Algorithm, net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
+        try_run(algo, net, cfg).unwrap()
+    }
 
     #[test]
     fn plan_is_feasible() {
         let net = deploy::uniform(60, Aabb::square(600.0), 2.0, 12);
         let cfg = PlannerConfig::paper_sim(40.0);
-        let plan = bundle_charging(&net, &cfg);
+        let plan = plan(Algorithm::Bc, &net, &cfg);
         assert!(plan.validate(&net, &cfg.charging).is_ok());
         assert!(plan.num_charging_stops() <= 60);
     }
@@ -58,8 +53,8 @@ mod tests {
     fn fewer_stops_than_sc_in_dense_network() {
         let net = deploy::clusters(80, 6, 15.0, Aabb::square(500.0), 2.0, 13);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let bc = bundle_charging(&net, &cfg);
-        let sc = single_charging(&net, &cfg);
+        let bc = plan(Algorithm::Bc, &net, &cfg);
+        let sc = plan(Algorithm::Sc, &net, &cfg);
         assert!(bc.num_charging_stops() < sc.num_charging_stops());
     }
 
@@ -67,8 +62,8 @@ mod tests {
     fn shorter_tour_than_sc_in_dense_network() {
         let net = deploy::clusters(100, 5, 10.0, Aabb::square(800.0), 2.0, 14);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let bc = bundle_charging(&net, &cfg);
-        let sc = single_charging(&net, &cfg);
+        let bc = plan(Algorithm::Bc, &net, &cfg);
+        let sc = plan(Algorithm::Sc, &net, &cfg);
         assert!(bc.tour_length() < sc.tour_length());
     }
 
@@ -76,7 +71,7 @@ mod tests {
     fn tiny_radius_degenerates_to_sc_shape() {
         let net = deploy::uniform(20, Aabb::square(1000.0), 2.0, 15);
         let cfg = PlannerConfig::paper_sim(0.1);
-        let bc = bundle_charging(&net, &cfg);
+        let bc = plan(Algorithm::Bc, &net, &cfg);
         assert_eq!(bc.num_charging_stops(), 20);
     }
 }

@@ -18,33 +18,15 @@ use bc_geom::{tangency, Disk, Point, Segment};
 use bc_units::{Joules, Meters};
 use bc_wsn::Network;
 
-use crate::planner::{bundle_charging, order_into_plan};
-use crate::{generate_bundles, ChargingBundle, ChargingPlan, PlannerConfig, Stop};
+use crate::{ChargingBundle, ChargingPlan, PlannerConfig, Stop};
 
-/// Runs BC and then optimises the tour with Algorithm 3.
-pub fn bundle_charging_opt(net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
-    let mut plan = bundle_charging(net, cfg);
-    let before = plan.metrics(&cfg.energy).total_energy_j;
-    optimize_tour(&mut plan, net, cfg);
-    // Theorem 4: relocation only ever lowers the operating energy.
-    crate::contracts::debug_assert_no_regression(before, plan.metrics(&cfg.energy).total_energy_j);
-    plan
-}
-
-/// Applies the Algorithm 3 anchor-relocation sweeps to an existing plan,
-/// in place. Exposed separately so ablations can start from any initial
-/// plan (e.g. grid bundles, or an unimproved TSP order).
-pub fn optimize_tour(plan: &mut ChargingPlan, net: &Network, cfg: &PlannerConfig) {
-    optimize_tour_with_workers(plan, net, cfg, 1);
-}
-
-/// [`optimize_tour`] with the per-anchor `d`-sweep evaluations fanned out
-/// over `workers` scoped threads. The Gauss–Seidel outer structure
-/// (anchor `i` sees its neighbours' already-relocated positions) is
-/// inherently sequential and unchanged; only the independent candidate
-/// evaluations within one anchor's sweep run in parallel, and they are
-/// reduced in step order, so the result is identical for any worker
-/// count.
+/// Applies the Algorithm 3 anchor-relocation sweeps to an ordered plan,
+/// in place, with the per-anchor `d`-sweep evaluations fanned out over
+/// `workers` scoped threads. The Gauss–Seidel outer structure (anchor
+/// `i` sees its neighbours' already-relocated positions) is inherently
+/// sequential; only the independent candidate evaluations within one
+/// anchor's sweep run in parallel, and they are reduced in step order,
+/// so the result is identical for any worker count.
 pub(crate) fn optimize_tour_with_workers(
     plan: &mut ChargingPlan,
     net: &Network,
@@ -180,74 +162,28 @@ fn best_relocation(
     best
 }
 
-/// BC-OPT with an outer loop that re-solves the visiting order after the
-/// anchors move (Algorithm 3 keeps the initial TSP order; relocated
-/// anchors can make a different order cheaper). Alternates TSP-reorder
-/// and anchor-relocation until the energy stops improving or
-/// `max_outer_rounds` is hit.
-///
-/// Never worse than [`bundle_charging_opt`]: the first iteration *is*
-/// BC-OPT, and further iterations are only accepted on improvement.
-pub fn bundle_charging_opt_iterated(
-    net: &Network,
-    cfg: &PlannerConfig,
-    max_outer_rounds: usize,
-) -> ChargingPlan {
-    let mut best = bundle_charging_opt(net, cfg);
-    let mut best_energy = energy_of(&best, cfg);
-    for _ in 0..max_outer_rounds {
-        // Re-solve the order over the current (possibly relocated)
-        // anchors, then re-run the relocation sweeps.
-        let stops = best.stops.clone();
-        let mut candidate = order_into_plan(stops, net, &cfg.tsp, false);
-        optimize_tour(&mut candidate, net, cfg);
-        let e = energy_of(&candidate, cfg);
-        if e + Joules(1e-9) < best_energy {
-            best = candidate;
-            best_energy = e;
-        } else {
-            break;
-        }
-    }
-    best
-}
-
-fn energy_of(plan: &ChargingPlan, cfg: &PlannerConfig) -> Joules {
-    plan.metrics(&cfg.energy).total_energy_j
-}
-
-/// Ablation entry point: BC-OPT with grid bundles instead of greedy, used
-/// by the benchmark suite to isolate the contribution of Algorithm 2.
-pub fn bundle_charging_opt_with_strategy(
-    net: &Network,
-    cfg: &PlannerConfig,
-    strategy: crate::BundleStrategy,
-) -> ChargingPlan {
-    let bundles = generate_bundles(net, cfg.bundle_radius, strategy);
-    let stops: Vec<Stop> = bundles
-        .into_iter()
-        .map(|b| Stop::for_bundle(b, net, &cfg.charging))
-        .collect();
-    let mut plan = order_into_plan(stops, net, &cfg.tsp, cfg.include_base);
-    optimize_tour(&mut plan, net, cfg);
-    plan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::{try_run, Algorithm};
     use bc_geom::Aabb;
     use bc_wsn::deploy;
+
+    fn plan(algo: Algorithm, net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
+        try_run(algo, net, cfg).unwrap()
+    }
+
+    fn plan_energy(plan: &ChargingPlan, cfg: &PlannerConfig) -> Joules {
+        plan.metrics(&cfg.energy).total_energy_j
+    }
 
     #[test]
     fn never_worse_than_bc() {
         for seed in [1u64, 2, 3, 4, 5] {
             let net = deploy::uniform(50, Aabb::square(800.0), 2.0, seed);
             let cfg = PlannerConfig::paper_sim(40.0);
-            let bc = bundle_charging(&net, &cfg);
-            let opt = bundle_charging_opt(&net, &cfg);
-            let e_bc = bc.metrics(&cfg.energy).total_energy_j;
-            let e_opt = opt.metrics(&cfg.energy).total_energy_j;
+            let e_bc = plan_energy(&plan(Algorithm::Bc, &net, &cfg), &cfg);
+            let e_opt = plan_energy(&plan(Algorithm::BcOpt, &net, &cfg), &cfg);
             assert!(
                 e_opt <= e_bc + Joules(1e-6),
                 "seed {seed}: BC-OPT {e_opt} worse than BC {e_bc}"
@@ -259,7 +195,7 @@ mod tests {
     fn stays_feasible_after_optimization() {
         let net = deploy::uniform(60, Aabb::square(600.0), 2.0, 23);
         let cfg = PlannerConfig::paper_sim(50.0);
-        let plan = bundle_charging_opt(&net, &cfg);
+        let plan = plan(Algorithm::BcOpt, &net, &cfg);
         assert!(plan.validate(&net, &cfg.charging).is_ok());
     }
 
@@ -273,16 +209,12 @@ mod tests {
             2.0,
         );
         let cfg = PlannerConfig::paper_sim(10.0);
-        let bc = bundle_charging(&net, &cfg);
-        let opt = bundle_charging_opt(&net, &cfg);
+        let bc = plan(Algorithm::Bc, &net, &cfg);
+        let opt = plan(Algorithm::BcOpt, &net, &cfg);
         assert!(opt.tour_length() < bc.tour_length() - Meters(1.0));
         assert!(opt.total_dwell() > bc.total_dwell());
         assert!(plan_energy(&opt, &cfg) < plan_energy(&bc, &cfg));
         assert!(opt.validate(&net, &cfg.charging).is_ok());
-    }
-
-    fn plan_energy(plan: &ChargingPlan, cfg: &PlannerConfig) -> Joules {
-        plan.metrics(&cfg.energy).total_energy_j
     }
 
     #[test]
@@ -291,8 +223,8 @@ mod tests {
         // both anchors slide toward each other.
         let net = deploy::from_coords(&[(0.0, 0.0), (400.0, 0.0)], Aabb::square(1000.0), 2.0);
         let cfg = PlannerConfig::paper_sim(10.0);
-        let bc = bundle_charging(&net, &cfg);
-        let opt = bundle_charging_opt(&net, &cfg);
+        let bc = plan(Algorithm::Bc, &net, &cfg);
+        let opt = plan(Algorithm::BcOpt, &net, &cfg);
         assert!(opt.tour_length() < bc.tour_length());
         assert!(plan_energy(&opt, &cfg) < plan_energy(&bc, &cfg));
     }
@@ -301,32 +233,21 @@ mod tests {
     fn single_stop_is_untouched() {
         let net = deploy::from_coords(&[(10.0, 10.0), (12.0, 10.0)], Aabb::square(100.0), 2.0);
         let cfg = PlannerConfig::paper_sim(20.0);
-        let plan = bundle_charging_opt(&net, &cfg);
-        assert_eq!(plan.num_charging_stops(), 1);
-        assert!(plan.validate(&net, &cfg.charging).is_ok());
+        let bc = plan(Algorithm::Bc, &net, &cfg);
+        let opt = plan(Algorithm::BcOpt, &net, &cfg);
+        assert_eq!(opt.num_charging_stops(), 1);
+        assert_eq!(opt, bc);
+        assert!(opt.validate(&net, &cfg.charging).is_ok());
     }
 
     #[test]
-    fn iterated_variant_never_worse() {
-        for seed in [3u64, 7, 11] {
-            let net = deploy::uniform(45, Aabb::square(500.0), 2.0, seed);
-            let cfg = PlannerConfig::paper_sim(35.0);
-            let base = bundle_charging_opt(&net, &cfg);
-            let iter = bundle_charging_opt_iterated(&net, &cfg, 4);
-            assert!(iter.validate(&net, &cfg.charging).is_ok());
-            assert!(
-                plan_energy(&iter, &cfg) <= plan_energy(&base, &cfg) + Joules(1e-6),
-                "seed {seed}: iterated worse than plain BC-OPT"
-            );
-        }
-    }
-
-    #[test]
-    fn strategy_ablation_runs() {
+    fn grid_strategy_runs() {
         let net = deploy::uniform(30, Aabb::square(400.0), 2.0, 3);
-        let cfg = PlannerConfig::paper_sim(30.0);
-        let plan =
-            bundle_charging_opt_with_strategy(&net, &cfg, crate::BundleStrategy::Grid);
-        assert!(plan.validate(&net, &cfg.charging).is_ok());
+        let mut cfg = PlannerConfig::paper_sim(30.0);
+        cfg.bundle_strategy = crate::BundleStrategy::Grid;
+        let bc = plan(Algorithm::Bc, &net, &cfg);
+        let opt = plan(Algorithm::BcOpt, &net, &cfg);
+        assert!(opt.validate(&net, &cfg.charging).is_ok());
+        assert!(plan_energy(&opt, &cfg) <= plan_energy(&bc, &cfg) + Joules(1e-6));
     }
 }

@@ -13,31 +13,14 @@
 //! collection any point within range is equally good.
 
 use bc_geom::{sed, tangency, Disk, Point, Segment};
-use bc_tsp::solve;
 use bc_wsn::Network;
 
-use crate::planner::order_into_plan;
 use crate::{ChargingBundle, ChargingPlan, PlannerConfig, Stop};
 
-/// Runs the CSS pipeline with communication range `cfg.bundle_radius`.
-pub fn css(net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
-    if net.is_empty() {
-        return ChargingPlan::new(Vec::new(), 0);
-    }
-
-    // Stage 0: sensor-level TSP tour.
-    let tour = solve(net.positions(), &cfg.tsp);
-
-    let stops = combine_skip(net, cfg, &tour.order);
-    let mut plan = order_into_plan(stops, net, &cfg.tsp, cfg.include_base);
-    substitute(&mut plan, net, cfg);
-    plan
-}
-
 /// The Combine and Skip passes over a sensor-level tour order, returning
-/// the surviving stops (unordered). Shared between [`css`] and the staged
-/// pipeline's CSS Cover stage, which supplies a tour solved on the
-/// context's cached distance matrix.
+/// the surviving stops (unordered). The CSS Cover stage supplies a tour
+/// solved on the context's cached distance matrix; the communication
+/// range is `cfg.bundle_radius`.
 pub(crate) fn combine_skip(net: &Network, cfg: &PlannerConfig, tour_order: &[usize]) -> Vec<Stop> {
     let r = cfg.bundle_radius;
 
@@ -162,9 +145,13 @@ fn best_point_in_disk(a: Point, b: Point, disk: &Disk) -> Point {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::single_charging;
+    use crate::planner::{try_run, Algorithm};
     use bc_geom::Aabb;
     use bc_wsn::deploy;
+
+    fn css(net: &Network, cfg: &PlannerConfig) -> ChargingPlan {
+        try_run(Algorithm::Css, net, cfg).unwrap()
+    }
 
     #[test]
     fn plan_is_feasible() {
@@ -193,7 +180,7 @@ mod tests {
     fn shorter_tour_than_sc_in_dense_network() {
         let net = deploy::clusters(80, 6, 12.0, Aabb::square(700.0), 2.0, 33);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let sc = single_charging(&net, &cfg);
+        let sc = try_run(Algorithm::Sc, &net, &cfg).unwrap();
         let c = css(&net, &cfg);
         assert!(c.tour_length() < sc.tour_length());
     }

@@ -1,33 +1,29 @@
 //! Charging-tour planners: SC, CSS, BC and BC-OPT.
 //!
-//! All planners share the same contract: they take a [`Network`] and a
-//! [`PlannerConfig`] and return a validated-by-construction
-//! [`ChargingPlan`] whose stops fully charge every sensor. The four
-//! algorithms mirror the comparison of Section VI-B:
+//! Every algorithm runs as a stage pipeline over a
+//! [`crate::context::PlanContext`]; [`try_run`] is the one-shot entry
+//! point over a throw-away context. All four take a [`Network`] and a
+//! [`PlannerConfig`] and return a [`ChargingPlan`] whose stops fully
+//! charge every sensor. The algorithms mirror the comparison of
+//! Section VI-B:
 //!
-//! * [`single_charging`] (SC) — TSP over every sensor, charging each at
-//!   zero distance (Shi et al., INFOCOM'11, adapted);
-//! * [`css`] — Combine–Skip–Substitute (He et al., TMC'13): merges
-//!   tour-adjacent sensors into shared stops and substitutes stop
+//! * [`Algorithm::Sc`] — TSP over every sensor, charging each at zero
+//!   distance (Shi et al., INFOCOM'11, adapted);
+//! * [`Algorithm::Css`] — Combine–Skip–Substitute (He et al., TMC'13):
+//!   merges tour-adjacent sensors into shared stops and substitutes stop
 //!   locations to shorten the tour, but never trades movement for
 //!   charging time;
-//! * [`bundle_charging`] (BC) — greedy bundle generation (Algorithm 2) +
-//!   TSP over anchor points;
-//! * [`bundle_charging_opt`] (BC-OPT) — BC followed by the Algorithm 3
-//!   anchor relocation driven by the Theorem 4/5 tangency search.
+//! * [`Algorithm::Bc`] — greedy bundle generation (Algorithm 2) + TSP
+//!   over anchor points;
+//! * [`Algorithm::BcOpt`] — BC followed by the Algorithm 3 anchor
+//!   relocation driven by the Theorem 4/5 tangency search.
+//!
+//! This module holds the kernels those stages call: tour ordering, the
+//! CSS passes, dwell-policy stop construction and the Algorithm 3 sweep.
 
 mod bc;
 mod bc_opt;
 mod css;
-mod sc;
-
-pub use bc::bundle_charging;
-pub use bc_opt::{
-    bundle_charging_opt, bundle_charging_opt_iterated, bundle_charging_opt_with_strategy,
-    optimize_tour,
-};
-pub use css::css;
-pub use sc::single_charging;
 
 pub(crate) use bc::stops_for_bundles;
 pub(crate) use bc_opt::optimize_tour_with_workers;
@@ -184,10 +180,39 @@ mod tests {
         let net = deploy::uniform(10, Aabb::square(300.0), 2.0, 2);
         let mut cfg = PlannerConfig::paper_sim(30.0);
         cfg.include_base = true;
-        let plan = single_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Sc, &net, &cfg).unwrap();
         assert!(plan.stops[0].bundle.is_empty(), "tour should start at base");
         assert_eq!(plan.num_charging_stops(), 10);
         assert!(plan.validate(&net, &cfg.charging).is_ok());
+    }
+
+    #[test]
+    fn sc_has_one_stop_per_sensor() {
+        let net = deploy::uniform(25, Aabb::square(500.0), 2.0, 6);
+        let cfg = PlannerConfig::paper_sim(10.0);
+        let plan = try_run(Algorithm::Sc, &net, &cfg).unwrap();
+        assert_eq!(plan.num_charging_stops(), 25);
+        assert!(plan.validate(&net, &cfg.charging).is_ok());
+    }
+
+    #[test]
+    fn sc_dwell_is_zero_distance_charge_time() {
+        let net = deploy::uniform(5, Aabb::square(100.0), 2.0, 7);
+        let cfg = PlannerConfig::paper_sim(10.0);
+        let plan = try_run(Algorithm::Sc, &net, &cfg).unwrap();
+        let expected = cfg.charging.charge_time(bc_units::Meters(0.0), Joules(2.0));
+        for stop in &plan.stops {
+            assert!((stop.dwell - expected).abs() < bc_units::Seconds(1e-9));
+        }
+    }
+
+    #[test]
+    fn sc_total_dwell_is_n_times_contact_time() {
+        let net = deploy::uniform(20, Aabb::square(400.0), 2.0, 8);
+        let cfg = PlannerConfig::paper_sim(30.0);
+        let sc = try_run(Algorithm::Sc, &net, &cfg).unwrap();
+        let expected = cfg.charging.charge_time(bc_units::Meters(0.0), Joules(2.0)) * 20.0;
+        assert!((sc.total_dwell() - expected).abs() < bc_units::Seconds(1e-9));
     }
 
     #[test]

@@ -20,9 +20,8 @@ use bc_tsp::{solve_matrix, DistanceMatrix};
 use bc_units::{Meters, Seconds};
 use bc_wsn::Network;
 
-use crate::config::DwellPolicy;
 use crate::planner::Algorithm;
-use crate::{generate_bundles, ChargingPlan, Metrics, PlannerConfig, Stop};
+use crate::{ChargingPlan, Metrics, PlanContext, PlanError, PlannerConfig, Stop};
 
 /// A field with impassable polygon obstacles.
 #[derive(Debug, Clone)]
@@ -121,39 +120,25 @@ impl TerrainRoute {
 /// Plans a charging tour whose stop order minimises the *routed* tour
 /// length, and returns the plan with its terrain route.
 ///
-/// Bundling is unchanged (RF ignores obstacles); anchors that land
-/// inside an obstacle are nudged to the nearest free position among the
-/// bundle's sensors. BC-OPT's continuous relocation is not applied on
-/// terrains (the tangency argument assumes straight legs), so
-/// `Algorithm::BcOpt` falls back to BC with a routed tour.
+/// Bundling is unchanged (RF ignores obstacles): the stops come from the
+/// SC Cover stage for `Algorithm::Sc` and from the BC Cover stage for
+/// every other algorithm. Anchors that land inside an obstacle are
+/// nudged to the nearest free position among the bundle's sensors.
+/// Neither CSS's substitution nor BC-OPT's continuous relocation is
+/// applied on terrains (the tangency argument assumes straight legs), so
+/// both fall back to BC with a routed tour.
+///
+/// # Errors
+///
+/// Same as [`PlanContext::plan`]: an invalid configuration or demand.
 pub fn plan_with_terrain(
     net: &Network,
     cfg: &PlannerConfig,
     terrain: &Terrain,
     algo: Algorithm,
-) -> (ChargingPlan, TerrainRoute) {
-    // Build stops exactly like the open-field planners do.
-    let mut stops: Vec<Stop> = match algo {
-        Algorithm::Sc => (0..net.len())
-            .map(|i| {
-                Stop::for_bundle(
-                    crate::ChargingBundle::from_members(vec![i], net),
-                    net,
-                    &cfg.charging,
-                )
-            })
-            .collect(),
-        _ => generate_bundles(net, cfg.bundle_radius, cfg.bundle_strategy)
-            .into_iter()
-            .map(|b| match cfg.dwell_policy {
-                DwellPolicy::Realized => Stop::for_bundle(b, net, &cfg.charging),
-                DwellPolicy::RadiusWorstCase => {
-                    let dwell = b.worst_case_dwell_time(cfg.bundle_radius, net, &cfg.charging);
-                    Stop { bundle: b, dwell }
-                }
-            })
-            .collect(),
-    };
+) -> Result<(ChargingPlan, TerrainRoute), PlanError> {
+    let cover = if algo == Algorithm::Sc { Algorithm::Sc } else { Algorithm::Bc };
+    let mut stops = PlanContext::new(net.clone(), cfg.clone()).cover(cover)?;
 
     // Anchors inside obstacles are illegal parking spots: snap to the
     // nearest member sensor outside every obstacle (sensors inside
@@ -185,7 +170,7 @@ pub fn plan_with_terrain(
     let routed = DistanceMatrix::from_fn(anchors.len(), |i, j| {
         terrain.distance(anchors[i], anchors[j])
     });
-    let euclid = DistanceMatrix::from_points(&anchors); // context-ok: stop anchors, not the cached sensor matrix
+    let euclid = DistanceMatrix::from_points(&anchors);
     let tour_r = solve_matrix(&routed, &cfg.tsp);
     let tour_e = solve_matrix(&euclid, &cfg.tsp);
     let routed_len = |order: &[usize]| -> f64 {
@@ -209,7 +194,7 @@ pub fn plan_with_terrain(
     }
     let plan = ChargingPlan::new(ordered, net.len());
     let route = TerrainRoute::trace(&plan, terrain);
-    (plan, route)
+    Ok((plan, route))
 }
 
 #[cfg(test)]
@@ -242,7 +227,7 @@ mod tests {
     fn open_terrain_matches_euclidean_plan() {
         let net = deploy::uniform(30, Aabb::square(300.0), 2.0, 6);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let (plan, route) = plan_with_terrain(&net, &cfg, &Terrain::open(), Algorithm::Bc);
+        let (plan, route) = plan_with_terrain(&net, &cfg, &Terrain::open(), Algorithm::Bc).unwrap();
         assert!(plan.validate(&net, &cfg.charging).is_ok());
         assert!((route.length_m - plan.tour_length()).abs() < Meters(1e-6));
     }
@@ -252,7 +237,7 @@ mod tests {
         let terrain = walled_terrain();
         let net = deploy_around(40, 300.0, 6, &terrain);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let (plan, route) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc);
+        let (plan, route) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc).unwrap();
         assert!(plan.validate(&net, &cfg.charging).is_ok());
         // The routed length can never undercut the straight-line tour.
         assert!(route.length_m >= plan.tour_length() - Meters(1e-6));
@@ -277,9 +262,9 @@ mod tests {
         let terrain = walled_terrain();
         let net = deploy_around(40, 300.0, 9, &terrain);
         let cfg = PlannerConfig::paper_sim(25.0);
-        let (_, routed) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc);
+        let (_, routed) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc).unwrap();
         // Euclidean-ordered plan, then re-trace over the terrain.
-        let naive = crate::planner::bundle_charging(&net, &cfg);
+        let naive = crate::planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let naive_route = TerrainRoute::trace(&naive, &terrain);
         assert!(
             routed.length_m <= naive_route.length_m + Meters(1e-6),
@@ -297,7 +282,7 @@ mod tests {
         )]);
         let net = deploy_around(20, 200.0, 3, &terrain);
         let cfg = PlannerConfig::paper_sim(25.0);
-        let (plan, route) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc);
+        let (plan, route) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc).unwrap();
         let m = route.metrics(&plan, &cfg.energy);
         assert!((m.charge_time_s - plan.total_dwell()).abs() < Seconds(1e-9));
         assert!((m.tour_length_m - route.length_m).abs() < Meters(1e-9));
@@ -316,7 +301,7 @@ mod tests {
             Point::new(100.0, 0.0),
             Point::new(120.0, 100.0),
         )]);
-        let (plan, _) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc);
+        let (plan, _) = plan_with_terrain(&net, &cfg, &terrain, Algorithm::Bc).unwrap();
         for stop in &plan.stops {
             assert!(!terrain.inside_obstacle(stop.anchor()));
         }
@@ -327,7 +312,8 @@ mod tests {
     fn sc_variant_runs_on_terrain() {
         let net = deploy_around(15, 200.0, 4, &walled_terrain());
         let cfg = PlannerConfig::paper_sim(20.0);
-        let (plan, route) = plan_with_terrain(&net, &cfg, &walled_terrain(), Algorithm::Sc);
+        let (plan, route) =
+            plan_with_terrain(&net, &cfg, &walled_terrain(), Algorithm::Sc).unwrap();
         assert_eq!(plan.num_charging_stops(), net.len());
         assert!(route.length_m > Meters(0.0));
     }

@@ -192,7 +192,7 @@ pub fn tighten_dwells(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner;
+    use crate::planner::{try_run, Algorithm};
     use crate::PlannerConfig;
     use bc_geom::Aabb;
     use bc_wsn::deploy;
@@ -202,7 +202,7 @@ mod tests {
         for seed in [1u64, 2, 3] {
             let net = deploy::uniform(60, Aabb::square(300.0), 2.0, seed);
             let cfg = PlannerConfig::paper_sim(25.0);
-            let mut plan = planner::bundle_charging(&net, &cfg);
+            let mut plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
             let rep = tighten_dwells(&mut plan, &net, &cfg.charging, 50);
             assert!(validate_cross_credit(&plan, &net, &cfg.charging).is_ok());
             assert!(rep.dwell_after_s <= rep.dwell_before_s + Seconds(1e-9));
@@ -213,7 +213,7 @@ mod tests {
     fn tightening_saves_dwell_in_dense_networks() {
         let net = deploy::uniform(150, Aabb::square(200.0), 2.0, 4);
         let cfg = PlannerConfig::paper_sim(20.0);
-        let mut plan = planner::bundle_charging(&net, &cfg);
+        let mut plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let rep = tighten_dwells(&mut plan, &net, &cfg.charging, 50);
         assert!(
             rep.saving() > 0.05,
@@ -226,7 +226,7 @@ mod tests {
     fn original_plan_already_cross_feasible() {
         let net = deploy::uniform(30, Aabb::square(300.0), 2.0, 8);
         let cfg = PlannerConfig::paper_sim(25.0);
-        let plan = planner::bundle_charging_opt(&net, &cfg);
+        let plan = try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
         assert!(validate_cross_credit(&plan, &net, &cfg.charging).is_ok());
     }
 
@@ -237,7 +237,7 @@ mod tests {
         // point of the extension.
         let net = deploy::uniform(120, Aabb::square(200.0), 2.0, 5);
         let cfg = PlannerConfig::paper_sim(20.0);
-        let mut plan = planner::bundle_charging(&net, &cfg);
+        let mut plan = try_run(Algorithm::Bc, &net, &cfg).unwrap();
         let rep = tighten_dwells(&mut plan, &net, &cfg.charging, 50);
         assert!(rep.saving() > 0.0);
         assert!(validate_cross_credit(&plan, &net, &cfg.charging).is_ok());
@@ -248,7 +248,7 @@ mod tests {
     fn delivered_energy_counts_every_stop() {
         let net = deploy::from_coords(&[(0.0, 0.0), (10.0, 0.0)], Aabb::square(20.0), 2.0);
         let cfg = PlannerConfig::paper_sim(1.0);
-        let plan = planner::single_charging(&net, &cfg);
+        let plan = try_run(Algorithm::Sc, &net, &cfg).unwrap();
         let delivered = delivered_energy(&plan, &net, &cfg.charging);
         // Each sensor gets its 2 J from its own stop plus spillover from
         // the other stop 10 m away.

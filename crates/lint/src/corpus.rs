@@ -85,25 +85,6 @@ pub const CASES: &[Case] = &[
         source: "pub struct S {\n    pub total_energy_j: f64, // unit-ok: serde wire format\n}\n",
         expect: &[],
     },
-    // --- context-bypass -----------------------------------------------
-    Case {
-        name: "context-positive",
-        label: "crates/sim/src/x.rs",
-        source: "fn f(net: &Network) {\n    let fam = CandidateFamily::pair_intersection_par(net, 10.0, 4);\n    let m = DistanceMatrix::from_points(net.positions());\n}\n",
-        expect: &[(RuleId::ContextBypass, 2), (RuleId::ContextBypass, 3)],
-    },
-    Case {
-        name: "context-negative-exempt-crate",
-        label: "crates/tsp/src/lib.rs",
-        source: "fn f() { let m = DistanceMatrix::from_points(&pts); }\n",
-        expect: &[],
-    },
-    Case {
-        name: "context-escape",
-        label: "crates/core/src/terrain.rs",
-        source: "fn f() {\n    let m = DistanceMatrix::from_points(&pts); // context-ok: no net here\n}\n",
-        expect: &[],
-    },
     // --- raw-time ------------------------------------------------------
     Case {
         name: "time-positive",

@@ -332,11 +332,10 @@ impl Lexer<'_> {
 /// The escape markers the rule catalog recognizes (see
 /// `rules::RuleId::escape`). `stale-ok:` is the meta-marker: it keeps an
 /// intentionally dormant marker from being reported as stale.
-pub const MARKERS: [&str; 10] = [
+pub const MARKERS: [&str; 9] = [
     "cast-ok:",
     "panic-ok:",
     "unit-ok:",
-    "context-ok:",
     "time-ok:",
     "print-ok:",
     "lock-ok:",

@@ -12,9 +12,8 @@
 //!
 //! Three passes run over the same engine (see [`rules::RuleId`]):
 //!
-//! * **core** — the original seven audit rules (casts, panicking
-//!   extractors, raw quantity fields, context bypass, raw DES time,
-//!   prints, naked locks);
+//! * **core** — the audit rules for casts, panicking extractors, raw
+//!   quantity fields, raw DES time, prints and naked locks;
 //! * **determinism** — unordered collections in plan-affecting crates,
 //!   wall-clock acquisition outside `bc_obs::wall`, ad-hoc
 //!   `thread::spawn` outside `bc_core::par`;

@@ -2,9 +2,9 @@
 //!
 //! Three passes share one engine:
 //!
-//! * the **core pass** — the original seven `cargo xtask lint` rules
-//!   (cast audit, panic ban, typed quantity fields, context bypass, raw
-//!   DES time, print ban, naked locks), now matched against
+//! * the **core pass** — the `cargo xtask lint` audit rules (cast
+//!   audit, panic ban, typed quantity fields, raw DES time, print ban,
+//!   naked locks), matched against
 //!   lexer-sanitized code so literals and comments can no longer trip
 //!   or suppress them;
 //! * the **determinism pass** — bans the three ways nondeterminism has
@@ -34,8 +34,6 @@ pub enum RuleId {
     PanickingExtractor,
     /// `pub <name>_{j,s,m,…}: f64` field in a quantity crate.
     RawQuantityField,
-    /// Shared planner artifact built outside `PlanContext`.
-    ContextBypass,
     /// Raw `f64` time arithmetic in `bc-des` outside `clock`.
     RawTime,
     /// `println!`/`eprintln!` in library code.
@@ -61,11 +59,10 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in catalog (report) order.
-    pub const ALL: [RuleId; 14] = [
+    pub const ALL: [RuleId; 13] = [
         RuleId::UnannotatedCast,
         RuleId::PanickingExtractor,
         RuleId::RawQuantityField,
-        RuleId::ContextBypass,
         RuleId::RawTime,
         RuleId::PrintBan,
         RuleId::NakedLock,
@@ -84,7 +81,6 @@ impl RuleId {
             RuleId::UnannotatedCast => "unannotated-cast",
             RuleId::PanickingExtractor => "panicking-extractor",
             RuleId::RawQuantityField => "raw-quantity-field",
-            RuleId::ContextBypass => "context-bypass",
             RuleId::RawTime => "raw-time",
             RuleId::PrintBan => "print-ban",
             RuleId::NakedLock => "naked-lock",
@@ -104,7 +100,6 @@ impl RuleId {
             RuleId::UnannotatedCast
             | RuleId::PanickingExtractor
             | RuleId::RawQuantityField
-            | RuleId::ContextBypass
             | RuleId::RawTime
             | RuleId::PrintBan
             | RuleId::NakedLock => "core",
@@ -122,7 +117,6 @@ impl RuleId {
             RuleId::UnannotatedCast => Some("cast-ok:"),
             RuleId::PanickingExtractor => Some("panic-ok:"),
             RuleId::RawQuantityField => Some("unit-ok:"),
-            RuleId::ContextBypass => Some("context-ok:"),
             RuleId::RawTime => Some("time-ok:"),
             RuleId::PrintBan => Some("print-ok:"),
             RuleId::NakedLock | RuleId::RawLockAcquire => Some("lock-ok:"),
@@ -146,9 +140,6 @@ impl RuleId {
             }
             RuleId::RawQuantityField => {
                 "use a bc-units newtype (Joules, Seconds, Meters, ...)"
-            }
-            RuleId::ContextBypass => {
-                "build this artifact through PlanContext, or add `// context-ok: <reason>`"
             }
             RuleId::RawTime => {
                 "route timestamps through des::clock (Time, seconds()/minutes()/hours()), \
@@ -200,9 +191,6 @@ impl RuleId {
                 "all library code"
             }
             RuleId::RawQuantityField => "crates/wpt, crates/core",
-            RuleId::ContextBypass => {
-                "all library code except crates/tsp, core::context, core::candidates"
-            }
             RuleId::RawTime => "crates/des except the clock module",
             RuleId::PrintBan => "all library code except binary targets",
             RuleId::NakedLock => "all library code outside the raw-lock scope",
@@ -264,14 +252,6 @@ const CAST_PATTERNS: [&str; 6] = [
     " as f64", " as usize", " as u64", " as u32", " as i64", " as i32",
 ];
 
-/// Artifact constructions that must go through `bc_core::context` in
-/// planner-layer code. The first pattern has no closing paren so the
-/// `_par` variant matches too.
-const CONTEXT_BYPASS_PATTERNS: [&str; 2] = [
-    "CandidateFamily::pair_intersection",
-    "DistanceMatrix::from_points(",
-];
-
 /// Raw time arithmetic that must stay inside `des::clock`.
 const RAW_TIME_PATTERNS: [&str; 3] = ["Seconds(", "_s.0", "as_secs_f64"];
 
@@ -313,13 +293,6 @@ const STATIC_MUT_PATTERNS: [&str; 1] = ["static mut"];
 /// Suffixes that mark a field as a physical quantity (matching the
 /// `bc-units` catalog).
 const QUANTITY_SUFFIXES: [&str; 7] = ["_j", "_s", "_m", "_m2", "_w", "_mps", "_jpm"];
-
-/// Files allowed to construct the shared planner artifacts directly.
-fn context_bypass_exempt(label: &str) -> bool {
-    label.contains("crates/tsp/")
-        || label.ends_with("crates/core/src/context.rs")
-        || label.ends_with("crates/core/src/candidates.rs")
-}
 
 /// Whether `label` falls under the raw-time rule: all of `bc-des`
 /// except the clock module that owns the sanctioned conversions.
@@ -439,9 +412,6 @@ pub fn scan_file(label: &str, text: &str) -> Vec<Diagnostic> {
             }
         }
 
-        if !context_bypass_exempt(label) {
-            check(RuleId::ContextBypass, first_match(code, &CONTEXT_BYPASS_PATTERNS), &mut out);
-        }
         if raw_time_scope(label) {
             check(RuleId::RawTime, first_match(code, &RAW_TIME_PATTERNS), &mut out);
         }

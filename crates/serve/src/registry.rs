@@ -14,6 +14,9 @@
 //! the entry's generation (invalidating single-flight keys minted
 //! against the dead cache). Waiters blocked on the lock observe the
 //! poison, trigger the same rebuild, and proceed — nobody wedges.
+//! Whoever recovers first (the panicking worker or a waiter) rebuilds;
+//! [`NetEntry::recover`] re-checks the poison under the lock, so one
+//! panic costs exactly one rebuild however many threads observed it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,17 +95,13 @@ impl NetEntry {
         // the lock; the repair path rebuilds the cache from the
         // template *unlocked* (rebuild relocks internally), then the
         // helper re-acquires.
-        let guard = lock_repair(&self.cache, || {
-            self.rebuild();
-        });
+        let guard = lock_repair(&self.cache, || self.recover());
         f(&guard)
     }
 
     /// Mutable variant of [`Self::with_cache`] for replan mutations.
     pub fn with_cache_mut<R>(&self, f: impl FnOnce(&mut ContextCache) -> R) -> R {
-        let mut guard = lock_repair(&self.cache, || {
-            self.rebuild();
-        });
+        let mut guard = lock_repair(&self.cache, || self.recover());
         f(&mut guard)
     }
 
@@ -169,10 +168,25 @@ impl NetEntry {
     /// need the mutations must resubmit them; the generation bump tells
     /// them to.
     pub fn rebuild(&self) -> u64 {
-        {
-            let mut guard = lock_recover(&self.cache);
-            *guard = ContextCache::new(self.template_net.clone(), self.template_cfg.clone());
+        let mut guard = lock_recover(&self.cache);
+        self.reinstall(&mut guard)
+    }
+
+    /// Recovery after a caught panic: rebuilds (see [`Self::rebuild`])
+    /// only if the entry is still poisoned. The check runs under the
+    /// lock, so when the panicking worker and a waiter both observed
+    /// the same poison, the second finds it already repaired.
+    pub fn recover(&self) {
+        let mut guard = lock_recover(&self.cache);
+        if self.cache.is_poisoned() {
+            self.reinstall(&mut guard);
         }
+    }
+
+    /// Reinstalls the template cache, clears the poison flag and bumps
+    /// the counters; the caller holds the lock.
+    fn reinstall(&self, cache: &mut ContextCache) -> u64 {
+        *cache = ContextCache::new(self.template_net.clone(), self.template_cfg.clone());
         self.cache.clear_poison();
         self.rebuilds.fetch_add(1, Ordering::AcqRel);
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
@@ -280,6 +294,12 @@ mod tests {
         assert_eq!(entry.rebuilds(), 1);
         assert_eq!(entry.generation(), 1);
         assert_eq!(reg.poisoned_entries(), 0);
+
+        // The panicking worker's own recovery comes second here and
+        // finds the poison already repaired: one panic, one rebuild.
+        entry.recover();
+        assert_eq!(entry.rebuilds(), 1);
+        assert_eq!(entry.generation(), 1);
     }
 
     #[test]

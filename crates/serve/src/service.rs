@@ -757,7 +757,7 @@ fn attempt_with_retries(
                     if bc_obs::active() {
                         bc_obs::counter("serve", "panic", 1, &[]);
                     }
-                    entry.rebuild();
+                    entry.recover();
                     last_cause = RetryCause::WorkerPanic;
                 }
             }

@@ -12,7 +12,7 @@
 //! 4. **Sortie budgets** — overhead of splitting the tour into
 //!    battery-feasible sorties as the charger's budget shrinks.
 
-use bc_core::planner::{self, Algorithm};
+use bc_core::planner::{try_run, Algorithm};
 use bc_core::{split_into_sorties, tighten, DwellPolicy, PlannerConfig};
 use bc_geom::Aabb;
 use bc_wsn::deploy;
@@ -86,7 +86,8 @@ fn tightening(exp: &ExpConfig) -> Table {
         let rows: Vec<(f64, f64)> = repeat(exp.runs, exp.base_seed, |seed| {
             let net = deploy::uniform(n, Aabb::square(200.0), SIM_DEMAND_J, seed);
             let cfg = PlannerConfig::paper_sim(25.0);
-            let mut plan = planner::bundle_charging(&net, &cfg);
+            let mut plan = try_run(Algorithm::Bc, &net, &cfg)
+                .unwrap_or_else(|e| panic!("tightening ablation planning failed: {e}"));
             let rep = tighten::tighten_dwells(&mut plan, &net, &cfg.charging, 60);
             (rep.dwell_before_s.0, rep.dwell_after_s.0)
         });
@@ -113,7 +114,8 @@ fn sortie_budgets(exp: &ExpConfig) -> Table {
         let rows: Vec<(f64, f64)> = repeat(exp.runs, exp.base_seed, |seed| {
             let net = deploy::uniform(100, Aabb::square(DENSE_FIELD_SIDE_M), SIM_DEMAND_J, seed);
             let cfg = PlannerConfig::paper_sim(30.0);
-            let plan = planner::bundle_charging(&net, &cfg);
+            let plan = try_run(Algorithm::Bc, &net, &cfg)
+                .unwrap_or_else(|e| panic!("sortie ablation planning failed: {e}"));
             let single = split_into_sorties(&plan, net.base(), &cfg.energy, f64::MAX / 2.0)
                 .unwrap_or_else(|e| panic!("unbounded split: {e}"));
             // Floor the budget at the worst singleton sortie.

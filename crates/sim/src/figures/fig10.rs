@@ -8,12 +8,12 @@
 //! content — stop counts, tour lengths and energies per radius — and can
 //! export the tour way-points for plotting.
 
-use bc_core::planner::{bundle_charging, bundle_charging_opt};
+use bc_core::planner::Algorithm;
 use bc_core::{ChargingPlan, PlannerConfig};
 use bc_geom::Aabb;
 use bc_wsn::{deploy, Network};
 
-use crate::figures::{ExpConfig, DENSE_FIELD_SIDE_M, SIM_DEMAND_J};
+use crate::figures::{plan_all, ExpConfig, DENSE_FIELD_SIDE_M, SIM_DEMAND_J};
 use crate::Table;
 
 /// Sensor count of the showcase network.
@@ -44,8 +44,7 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
     );
     for r in RADII {
         let cfg = PlannerConfig::paper_sim(r);
-        let bc = bundle_charging(&net, &cfg);
-        let opt = bundle_charging_opt(&net, &cfg);
+        let [bc, opt] = plan_all(&net, &cfg, [Algorithm::Bc, Algorithm::BcOpt]);
         t.push_row(&[
             r,
             bc.num_charging_stops() as f64, // cast-ok: stop count to table column
@@ -74,8 +73,7 @@ pub fn save_figures(
     let mut paths = Vec::new();
     for r in RADII {
         let cfg = PlannerConfig::paper_sim(r);
-        let bc = bundle_charging(&net, &cfg);
-        let opt = bundle_charging_opt(&net, &cfg);
+        let [bc, opt] = plan_all(&net, &cfg, [Algorithm::Bc, Algorithm::BcOpt]);
         let path = dir.join(format!("fig10_r{r:.0}.svg"));
         crate::svg::save_scene(&net, Some(&bc), Some(&opt), &style, &path)?;
         paths.push(path);
@@ -123,7 +121,7 @@ mod tests {
         let exp = ExpConfig::quick();
         let net = showcase_network(&exp);
         let cfg = PlannerConfig::paper_sim(25.0);
-        let plan = bundle_charging(&net, &cfg);
+        let plan = bc_core::planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         assert_eq!(tour_waypoints(&plan).len(), plan.stops.len());
     }
 }

@@ -6,7 +6,7 @@
 //! beats the grid baseline at small radii, and approaches the grid
 //! solution as the network gets crowded.
 
-use bc_core::{generate_bundles, BundleStrategy};
+use bc_core::{BundleStrategy, PlanContext, PlannerConfig};
 use bc_geom::Aabb;
 use bc_wsn::deploy;
 
@@ -34,7 +34,12 @@ pub const SENSORS_B: [usize; 5] = [10, 20, 30, 40, 50];
 fn counts(n: usize, r: f64, strategy: BundleStrategy, exp: &ExpConfig) -> Summary {
     let samples: Vec<f64> = repeat(exp.runs, exp.base_seed, |seed| {
         let net = deploy::uniform(n, Aabb::square(FIELD_SIDE_M), SIM_DEMAND_J, seed);
-        generate_bundles(&net, bc_units::Meters(r), strategy) .len() as f64 // cast-ok: bundle count to table column
+        let mut cfg = PlannerConfig::paper_sim(r);
+        cfg.bundle_strategy = strategy;
+        let bundles = PlanContext::new(net, cfg)
+            .bundles()
+            .unwrap_or_else(|e| panic!("fig11 bundle generation failed: {e}"));
+        bundles.len() as f64 // cast-ok: bundle count to table column
     });
     Summary::of(&samples)
 }

@@ -8,11 +8,11 @@
 //! the tour and save ~8 % / ~13 % total energy around r = 1.2 m, with
 //! BC-OPT's tour more than 20 % shorter than SC's.
 
-use bc_core::planner::{bundle_charging, bundle_charging_opt, single_charging};
+use bc_core::planner::Algorithm;
 use bc_core::PlannerConfig;
 use bc_testbed::{office_network, TestbedRig};
 
-use crate::figures::ExpConfig;
+use crate::figures::{plan_all, ExpConfig};
 use crate::Table;
 
 /// Radii swept (m) across the office.
@@ -36,9 +36,7 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
     );
     for r in RADII {
         let cfg = PlannerConfig::paper_testbed(r);
-        let sc = single_charging(&net, &cfg);
-        let bc = bundle_charging(&net, &cfg);
-        let opt = bundle_charging_opt(&net, &cfg);
+        let [sc, bc, opt] = plan_all(&net, &cfg, [Algorithm::Sc, Algorithm::Bc, Algorithm::BcOpt]);
         let rig = TestbedRig::new(&net, &cfg);
         let rep_sc = rig.execute(&sc);
         let rep_bc = rig.execute(&bc);
@@ -106,7 +104,7 @@ mod tests {
         let net = office_network();
         for r in RADII {
             let cfg = PlannerConfig::paper_testbed(r);
-            let plan = bundle_charging_opt(&net, &cfg);
+            let plan = bc_core::planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
             let rep = TestbedRig::new(&net, &cfg).execute(&plan);
             assert!(rep.all_fully_charged(), "undercharge at r = {r}");
         }

@@ -31,9 +31,9 @@ pub mod fig6;
 pub mod timings;
 
 use bc_core::planner::Algorithm;
-use bc_core::{Metrics, PlanContext, PlannerConfig};
+use bc_core::{ChargingPlan, Metrics, PlanContext, PlannerConfig};
 use bc_geom::Aabb;
-use bc_wsn::deploy;
+use bc_wsn::{deploy, Network};
 
 use crate::{average_metrics, repeat, MetricsSummary};
 
@@ -101,6 +101,17 @@ pub(crate) fn sweep_algorithms(
     (0..algos.len())
         .map(|ai| average_metrics(&per_seed.iter().map(|ms| ms[ai]).collect::<Vec<_>>()))
         .collect()
+}
+
+/// Plans every algorithm of `algos` on one shared [`PlanContext`], so
+/// they draw on a single build of each artifact.
+pub(crate) fn plan_all<const N: usize>(
+    net: &Network,
+    cfg: &PlannerConfig,
+    algos: [Algorithm; N],
+) -> [ChargingPlan; N] {
+    let ctx = PlanContext::new(net.clone(), cfg.clone());
+    algos.map(|a| ctx.plan(a).unwrap_or_else(|e| panic!("{a}: {e}")).into_plan())
 }
 
 /// Runs `algo` on `runs` seeded uniform deployments and averages the

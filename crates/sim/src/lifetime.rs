@@ -136,9 +136,6 @@ pub fn simulate(net: &Network, cfg: &LifetimeConfig) -> LifetimeReport {
     assert!(cfg.horizon_s.0 > 0.0, "horizon must be positive");
     assert!(cfg.speed_mps.0 > 0.0, "speed must be positive");
     assert!(cfg.battery_j.0 > 0.0, "battery must be positive");
-    if net.is_empty() {
-        return simulate_reference(net, cfg);
-    }
     let scenario = Scenario {
         net: net.clone(),
         horizon_s: cfg.horizon_s,
@@ -556,10 +553,16 @@ mod tests {
     #[test]
     fn empty_network_trivial_report() {
         let net = deploy::uniform(0, Aabb::square(10.0), 2.0, 0);
-        let cfg = LifetimeConfig::paper_sim(1, 10.0, Algorithm::Bc);
-        let rep = simulate(&net, &cfg);
-        assert_eq!(rep.rounds, 0);
-        assert_eq!(rep.availability, 1.0);
+        let clean = LifetimeConfig::paper_sim(1, 10.0, Algorithm::Bc);
+        let faulty = clean
+            .clone()
+            .with_faults(FaultModel::with_rate(3, 0.2), RecoveryPolicy::ReplanRemaining);
+        for cfg in [clean, faulty] {
+            let rep = simulate(&net, &cfg);
+            assert_eq!(rep.rounds, 0);
+            assert_eq!(rep.availability, 1.0);
+            assert_eq!(rep, simulate_reference(&net, &cfg));
+        }
     }
 
     #[test]

@@ -193,15 +193,17 @@ pub fn save_scene(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_core::{planner, PlannerConfig};
+    use bc_core::planner::Algorithm;
+    use bc_core::{PlanContext, PlannerConfig};
     use bc_geom::Aabb;
     use bc_wsn::deploy;
 
     fn setup() -> (Network, ChargingPlan, ChargingPlan) {
         let net = deploy::uniform(20, Aabb::square(200.0), 2.0, 3);
         let cfg = PlannerConfig::paper_sim(30.0);
-        let bc = planner::bundle_charging(&net, &cfg);
-        let opt = planner::bundle_charging_opt(&net, &cfg);
+        let ctx = PlanContext::new(net.clone(), cfg);
+        let bc = ctx.plan(Algorithm::Bc).unwrap().into_plan();
+        let opt = ctx.plan(Algorithm::BcOpt).unwrap().into_plan();
         (net, bc, opt)
     }
 

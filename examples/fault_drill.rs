@@ -15,7 +15,7 @@ use bundle_charging::prelude::*;
 fn main() {
     let net = deploy::uniform(40, Aabb::square(300.0), 2.0, 9);
     let cfg = PlannerConfig::paper_sim(20.0);
-    let plan = planner::bundle_charging_opt(&net, &cfg);
+    let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).expect("valid inputs");
     let nominal = plan.metrics(&cfg.energy);
     println!(
         "40 sensors, 300 m x 300 m; nominal tour: {} stops, {:.0} J\n",

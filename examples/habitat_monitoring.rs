@@ -48,8 +48,9 @@ fn main() {
     ];
 
     for (name, net) in scenarios {
-        let sc = planner::single_charging(&net, &cfg);
-        let opt = planner::bundle_charging_opt(&net, &cfg);
+        let ctx = PlanContext::new(net.clone(), cfg.clone());
+        let plan = |algo| ctx.plan(algo).expect("valid inputs").into_plan();
+        let (sc, opt) = (plan(Algorithm::Sc), plan(Algorithm::BcOpt));
         opt.validate(&net, &cfg.charging).expect("feasible plan");
         let e_sc = sc.metrics(&cfg.energy).total_energy_j;
         let m = opt.metrics(&cfg.energy);

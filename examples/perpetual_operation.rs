@@ -42,7 +42,7 @@ fn main() {
     // The Eq. 3 extension: credit sensors for energy received from every
     // stop of the tour, then shrink dwells to the minimal feasible point.
     let cfg = PlannerConfig::paper_sim(25.0);
-    let mut plan = planner::bundle_charging_opt(&net, &cfg);
+    let mut plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).expect("valid inputs");
     let before = plan.metrics(&cfg.energy);
     let report = tighten::tighten_dwells(&mut plan, &net, &cfg.charging, 50);
     let after = plan.metrics(&cfg.energy);

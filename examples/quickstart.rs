@@ -18,10 +18,15 @@ fn main() {
     // and a 25 m bundle radius.
     let cfg = PlannerConfig::paper_sim(25.0);
 
-    // Compare the naive per-sensor tour with bundle charging.
+    // Compare the naive per-sensor tour with bundle charging. One
+    // context serves all four algorithms, so the shared artifacts are
+    // built once.
+    let ctx = PlanContext::new(net.clone(), cfg.clone());
     for algo in Algorithm::ALL {
-        let plan = planner::try_run(algo, &net, &cfg)
-            .unwrap_or_else(|e| panic!("{algo}: {e}"));
+        let plan = ctx
+            .plan(algo)
+            .unwrap_or_else(|e| panic!("{algo}: {e}"))
+            .into_plan();
         plan.validate(&net, &cfg.charging)
             .expect("planner produced an infeasible plan");
         let m = plan.metrics(&cfg.energy);
@@ -36,7 +41,7 @@ fn main() {
     }
 
     // Inspect the winning plan's stops.
-    let plan = planner::bundle_charging_opt(&net, &cfg);
+    let plan = ctx.plan(Algorithm::BcOpt).expect("valid inputs").into_plan();
     println!("\nBC-OPT itinerary:");
     for (i, stop) in plan.stops.iter().enumerate() {
         println!(

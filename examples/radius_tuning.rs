@@ -38,7 +38,7 @@ fn main() {
     let mut rows = Vec::new();
     for r in radii {
         let cfg = PlannerConfig::paper_sim(r);
-        let plan = planner::bundle_charging_opt(&net, &cfg);
+        let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).expect("valid inputs");
         plan.validate(&net, &cfg.charging).expect("feasible plan");
         let m = plan.metrics(&cfg.energy);
         rows.push((r, m));

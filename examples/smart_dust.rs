@@ -25,7 +25,9 @@ fn main() {
 
     // Lower-level API: generate the bundles ourselves and inspect them.
     let r = 15.0;
-    let bundles = generate_bundles(&net, Meters(r), BundleStrategy::Greedy);
+    let cfg = PlannerConfig::paper_sim(r);
+    let ctx = PlanContext::new(net.clone(), cfg.clone());
+    let bundles = ctx.bundles().expect("valid inputs");
     let biggest = bundles.iter().map(ChargingBundle::len).max().unwrap();
     println!(
         "greedy bundle generation at r = {r} m: {} bundles (largest holds {} motes)",
@@ -44,18 +46,27 @@ fn main() {
     }
 
     // Compare against the grid baseline on the same network.
-    let grid = generate_bundles(&net, Meters(r), BundleStrategy::Grid);
+    let mut grid_cfg = cfg.clone();
+    grid_cfg.bundle_strategy = BundleStrategy::Grid;
+    let grid = PlanContext::new(net.clone(), grid_cfg)
+        .bundles()
+        .expect("valid inputs");
     println!(
         "grid baseline produces {} bundles ({}% more stops)\n",
         grid.len(),
         100 * (grid.len() - bundles.len()) / bundles.len().max(1)
     );
 
-    // Full planners on the dust field.
-    let cfg = PlannerConfig::paper_sim(r);
+    // Full planners on the dust field, reusing the greedy context's
+    // candidate family.
+    let plan = |algo: Algorithm| {
+        ctx.plan(algo)
+            .unwrap_or_else(|e| panic!("{algo}: {e}"))
+            .into_plan()
+    };
+    let sc_energy = plan(Algorithm::Sc).metrics(&cfg.energy).total_energy_j;
     for algo in Algorithm::ALL {
-        let plan = planner::try_run(algo, &net, &cfg)
-            .unwrap_or_else(|e| panic!("{algo}: {e}"));
+        let plan = plan(algo);
         plan.validate(&net, &cfg.charging).expect("feasible plan");
         let m = plan.metrics(&cfg.energy);
         println!(
@@ -64,10 +75,7 @@ fn main() {
             m.num_stops,
             m.tour_length_m.0,
             m.total_energy_j.0,
-            100.0 * m.total_energy_j
-                / planner::single_charging(&net, &cfg)
-                    .metrics(&cfg.energy)
-                    .total_energy_j,
+            100.0 * m.total_energy_j / sc_energy,
         );
     }
 }

@@ -11,6 +11,7 @@
 //! cargo run --release --example testbed_office
 //! ```
 
+#![allow(clippy::expect_used)] // demo binary: panics are fine
 use bundle_charging::prelude::*;
 use bundle_charging::testbed::{office_network, TestbedRig};
 
@@ -36,9 +37,11 @@ fn main() {
             );
             rep.total_energy_j()
         };
-        let sc = e(&planner::single_charging(&net, &cfg));
-        let bc = e(&planner::bundle_charging(&net, &cfg));
-        let opt = e(&planner::bundle_charging_opt(&net, &cfg));
+        let ctx = PlanContext::new(net.clone(), cfg.clone());
+        let plan = |algo| ctx.plan(algo).expect("valid inputs").into_plan();
+        let sc = e(&plan(Algorithm::Sc));
+        let bc = e(&plan(Algorithm::Bc));
+        let opt = e(&plan(Algorithm::BcOpt));
         println!(
             "{:>6.2} {:>12.2} {:>12.2} {:>12.2} {:>13.1}%",
             r,
@@ -51,7 +54,7 @@ fn main() {
 
     // One noisy run: 10 % multiplicative harvest jitter.
     let cfg = PlannerConfig::paper_testbed(1.2);
-    let plan = planner::bundle_charging_opt(&net, &cfg);
+    let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).expect("valid inputs");
     let noisy = TestbedRig::new(&net, &cfg)
         .with_noise(0.10, 2024)
         .execute(&plan);

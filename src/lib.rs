@@ -36,7 +36,7 @@
 //!
 //! // Plan a charging tour with bundle radius 25 m.
 //! let cfg = PlannerConfig::paper_sim(25.0);
-//! let plan = planner::bundle_charging_opt(&net, &cfg);
+//! let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).expect("valid inputs");
 //!
 //! // Every sensor is fully charged, and the cost is itemised.
 //! assert!(plan.validate(&net, &cfg.charging).is_ok());
@@ -66,8 +66,8 @@ pub use bc_wsn as wsn;
 pub mod prelude {
     pub use bc_core::planner::{self, Algorithm};
     pub use bc_core::{
-        generate_bundles, BundleStrategy, ChargingBundle, ChargingPlan, ConfigError, DwellPolicy,
-        ExecError, ExecutionReport, Executor, FaultModel, Metrics, PlanError, PlannerConfig,
+        BundleStrategy, ChargingBundle, ChargingPlan, ConfigError, DwellPolicy, ExecError,
+        ExecutionReport, Executor, FaultModel, Metrics, PlanContext, PlanError, PlannerConfig,
         RecoveryPolicy, Stop,
     };
     pub use bc_geom::{Aabb, Disk, Point};

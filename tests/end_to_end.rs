@@ -59,9 +59,12 @@ fn energy_ordering_at_dense_point() {
 fn manual_bundle_plan_matches_bc() {
     let net = deploy::uniform(40, Aabb::square(300.0), 2.0, 9);
     let cfg = PlannerConfig::paper_sim(25.0);
-    let bundles = generate_bundles(&net, Meters(25.0), BundleStrategy::Greedy);
+    let ctx = PlanContext::new(net.clone(), cfg.clone());
+    let bundles = ctx.bundles().unwrap();
     let total_sensors: usize = bundles.iter().map(ChargingBundle::len).sum();
     assert_eq!(total_sensors, 40);
+    let bc = ctx.plan(Algorithm::Bc).unwrap().into_plan();
+    assert_eq!(bc.num_charging_stops(), bundles.len());
     // Dwell of each bundle must charge its farthest member exactly.
     for b in &bundles {
         let dwell = b.dwell_time(&net, &cfg.charging);
@@ -80,7 +83,7 @@ fn manual_bundle_plan_matches_bc() {
 fn rig_execution_matches_plan_prediction() {
     let net = deploy::uniform(25, Aabb::square(100.0), 2.0, 5);
     let cfg = PlannerConfig::paper_sim(20.0);
-    let plan = planner::bundle_charging_opt(&net, &cfg);
+    let plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
     let report = TestbedRig::new(&net, &cfg).with_tick(0.5).execute(&plan);
     let m = plan.metrics(&cfg.energy);
     assert!((report.driven_m - m.tour_length_m).abs() < Meters(1e-6));
@@ -98,10 +101,10 @@ fn radius_monotonicity_and_sc_invariance() {
     let mut sc_energy: Option<Joules> = None;
     for r in [5.0, 15.0, 30.0, 60.0] {
         let cfg = PlannerConfig::paper_sim(r);
-        let bc = planner::bundle_charging(&net, &cfg);
+        let bc = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
         assert!(bc.num_charging_stops() <= last_stops);
         last_stops = bc.num_charging_stops();
-        let sc = planner::single_charging(&net, &cfg)
+        let sc = planner::try_run(Algorithm::Sc, &net, &cfg).unwrap()
             .metrics(&cfg.energy)
             .total_energy_j;
         if let Some(prev) = sc_energy {
@@ -119,8 +122,8 @@ fn base_station_inclusion() {
     let cfg = PlannerConfig::paper_sim(25.0);
     let mut with_base = cfg.clone();
     with_base.include_base = true;
-    let p0 = planner::bundle_charging(&net, &cfg);
-    let p1 = planner::bundle_charging(&net, &with_base);
+    let p0 = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
+    let p1 = planner::try_run(Algorithm::Bc, &net, &with_base).unwrap();
     assert!(p1.validate(&net, &cfg.charging).is_ok());
     assert_eq!(p1.stops.len(), p0.stops.len() + 1);
     assert_eq!(p1.num_charging_stops(), p0.num_charging_stops());

@@ -16,7 +16,7 @@ use bundle_charging::wpt::{ChargingModel, Law};
 fn tighten_then_sortie_pipeline() {
     let net = deploy::uniform(80, Aabb::square(250.0), 2.0, 3);
     let cfg = PlannerConfig::paper_sim(25.0);
-    let mut plan = planner::bundle_charging_opt(&net, &cfg);
+    let mut plan = planner::try_run(Algorithm::BcOpt, &net, &cfg).unwrap();
     let rep = tighten::tighten_dwells(&mut plan, &net, &cfg.charging, 50);
     assert!(rep.saving() > 0.0);
     tighten::validate_cross_credit(&plan, &net, &cfg.charging).unwrap();
@@ -59,7 +59,7 @@ fn replan_under_linear_law() {
         1.0,
     );
     let net = deploy::uniform(40, Aabb::square(200.0), 2.0, 5);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     plan.validate(&net, &cfg.charging).unwrap();
 
     let (net2, plan2) =
@@ -95,17 +95,13 @@ fn lifetime_single_round_energy_consistent() {
     // Exactly one round fits the horizon: trigger immediately, then end.
     cfg.trigger_level_j = cfg.battery_j; // everyone is "low" at t = 0
     cfg.trigger_count = 1;
-    let plan = planner::bundle_charging(
-        &{
-            let sensors: Vec<_> = net
-                .sensors()
-                .iter()
-                .map(|s| bundle_charging::wsn::Sensor::new(s.id, s.pos, cfg.battery_j.0))
-                .collect();
-            Network::new(sensors, net.field(), net.base())
-        },
-        &cfg.planner,
-    );
+    let sensors: Vec<_> = net
+        .sensors()
+        .iter()
+        .map(|s| bundle_charging::wsn::Sensor::new(s.id, s.pos, cfg.battery_j.0))
+        .collect();
+    let full_net = Network::new(sensors, net.field(), net.base());
+    let plan = planner::try_run(Algorithm::Bc, &full_net, &cfg.planner).unwrap();
     // End the horizon a hair before the round completes so a second
     // round can never start (the freshly charged network is instantly
     // "low" again at this trigger level).
@@ -128,7 +124,7 @@ fn artifact_generation() {
     use bundle_charging::sim::{html, svg};
     let net = deploy::uniform(15, Aabb::square(100.0), 2.0, 2);
     let cfg = PlannerConfig::paper_sim(20.0);
-    let plan = planner::bundle_charging(&net, &cfg);
+    let plan = planner::try_run(Algorithm::Bc, &net, &cfg).unwrap();
     let image = svg::render_scene(&net, Some(&plan), None, &svg::SvgStyle::default());
     let mut table = bundle_charging::sim::Table::new("metrics", &["stops", "energy"]);
     let m = plan.metrics(&cfg.energy);

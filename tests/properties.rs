@@ -116,7 +116,9 @@ proptest! {
     fn generation_is_partition(seed in 0u64..1000, n in 1usize..40, r in 1.0f64..80.0) {
         let net = deploy::uniform(n, Aabb::square(200.0), 2.0, seed);
         for s in [BundleStrategy::Greedy, BundleStrategy::Grid, BundleStrategy::Optimal] {
-            let bundles = generate_bundles(&net, Meters(r), s);
+            let mut cfg = PlannerConfig::paper_sim(r);
+            cfg.bundle_strategy = s;
+            let bundles = PlanContext::new(net.clone(), cfg).bundles().unwrap();
             prop_assert!(
                 bundle_charging::core::generation::is_valid_partition(&bundles, &net, Meters(r)),
                 "{s:?} produced an invalid partition"
@@ -129,8 +131,9 @@ proptest! {
     fn bcopt_dominates_bc(seed in 0u64..1000, n in 2usize..35) {
         let net = deploy::uniform(n, Aabb::square(250.0), 2.0, seed);
         let cfg = PlannerConfig::paper_sim(25.0);
-        let bc = planner::bundle_charging(&net, &cfg).metrics(&cfg.energy).total_energy_j;
-        let opt = planner::bundle_charging_opt(&net, &cfg).metrics(&cfg.energy).total_energy_j;
+        let ctx = PlanContext::new(net, cfg.clone());
+        let energy = |algo| ctx.plan(algo).unwrap().plan.metrics(&cfg.energy).total_energy_j;
+        let (bc, opt) = (energy(Algorithm::Bc), energy(Algorithm::BcOpt));
         prop_assert!(opt <= bc + Joules(1e-6), "BC-OPT {opt} > BC {bc}");
     }
 }

@@ -13,8 +13,13 @@ fn theorem2_greedy_approximation_bound() {
     for seed in 0..20u64 {
         for r in [20.0, 40.0, 70.0] {
             let net = deploy::uniform(24, Aabb::square(250.0), 2.0, seed);
-            let greedy = generate_bundles(&net, Meters(r), BundleStrategy::Greedy).len() as f64;
-            let optimal = generate_bundles(&net, Meters(r), BundleStrategy::Optimal).len() as f64;
+            let count = |strategy| {
+                let mut cfg = PlannerConfig::paper_sim(r);
+                cfg.bundle_strategy = strategy;
+                PlanContext::new(net.clone(), cfg).bundles().unwrap().len() as f64
+            };
+            let greedy = count(BundleStrategy::Greedy);
+            let optimal = count(BundleStrategy::Optimal);
             let bound = (24f64).ln() + 1.0;
             assert!(
                 greedy <= bound * optimal + 1e-9,
@@ -97,8 +102,9 @@ fn theorem5_bisector_at_optimum() {
 fn two_bundle_tradeoff_eq7_eq8() {
     let net = deploy::from_coords(&[(0.0, 0.0), (300.0, 0.0)], Aabb::square(400.0), 2.0);
     let cfg = PlannerConfig::paper_sim(10.0);
-    let bc = planner::bundle_charging(&net, &cfg);
-    let opt = planner::bundle_charging_opt(&net, &cfg);
+    let ctx = PlanContext::new(net.clone(), cfg.clone());
+    let bc = ctx.plan(Algorithm::Bc).unwrap().into_plan();
+    let opt = ctx.plan(Algorithm::BcOpt).unwrap().into_plan();
     let e_bc = bc.metrics(&cfg.energy).total_energy_j;
     let e_opt = opt.metrics(&cfg.energy).total_energy_j;
     assert!(e_opt < e_bc, "relocation should pay off: {e_opt} vs {e_bc}");
@@ -113,7 +119,7 @@ fn two_bundle_tradeoff_eq7_eq8() {
     // Conversely, with free movement the optimal anchors stay put.
     let mut free = PlannerConfig::paper_sim(10.0);
     free.energy = bundle_charging::wpt::EnergyModel::new(0.0, free.energy.charge_draw().0);
-    let opt_free = planner::bundle_charging_opt(&net, &free);
+    let opt_free = planner::try_run(Algorithm::BcOpt, &net, &free).unwrap();
     assert!((opt_free.tour_length() - bc.tour_length()).abs() < Meters(1e-6),
         "with E_m = 0 no relocation should happen");
 }
