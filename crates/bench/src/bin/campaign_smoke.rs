@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Runs the shared [`bc_campaign::smoke`] harness and writes two
-//! artifacts: the `BENCH_des.json` trend document (queue-backend
+//! artifacts: the `BENCH_campaign.json` trend document (queue-backend
 //! events/sec head-to-head, SoA bytes/sensor, campaign seeds/sec, and
 //! the merge-determinism hash) and the full deterministic campaign
 //! snapshot (per-seed results + merged stats), which CI byte-compares
@@ -38,7 +38,7 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut opts = SmokeOptions::reduced();
-    let mut out = PathBuf::from("BENCH_des.json");
+    let mut out = PathBuf::from("BENCH_campaign.json");
     let mut snapshot = PathBuf::from("campaign_snapshot.json");
     let mut i = 0;
     while i < args.len() {

@@ -18,7 +18,7 @@
 //! - a **smoke harness** ([`smoke::run_smoke`]) behind both
 //!   `repro campaign` and the `campaign_smoke` bench bin: queue-backend
 //!   throughput at 10⁶ pending events, SoA state footprint, seeds/sec,
-//!   and a merge-determinism hash, rendered as `BENCH_des.json`.
+//!   and a merge-determinism hash, rendered as `BENCH_campaign.json`.
 //!
 //! The scale story leans on two `bc-des` features grown alongside this
 //! crate: the calendar-queue [`bc_des::QueueBackend`] for large pending

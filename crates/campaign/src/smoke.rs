@@ -1,7 +1,7 @@
 //! The shared campaign smoke harness behind `repro campaign` and the
 //! `campaign_smoke` bench bin.
 //!
-//! Three measurements, rendered as the hand-rolled `BENCH_des.json`
+//! Three measurements, rendered as the hand-rolled `BENCH_campaign.json`
 //! trend document by [`SmokeReport::bench_json`]:
 //!
 //! 1. **Queue throughput** — each [`QueueBackend`] is driven through the
@@ -186,7 +186,7 @@ pub struct SmokeReport {
 }
 
 impl SmokeReport {
-    /// Renders the `BENCH_des.json` trend document.
+    /// Renders the `BENCH_campaign.json` trend document.
     #[must_use]
     pub fn bench_json(&self) -> String {
         let mut queues = String::new();

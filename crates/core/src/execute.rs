@@ -153,6 +153,9 @@ pub struct ExecutedStop {
     pub drive_m: Meters,
     /// Time spent driving that leg, including stalls.
     pub drive_s: Seconds,
+    /// Stall multiplier realized on the leg into this stop (`1.0` =
+    /// nominal speed; base visits are never stalled).
+    pub stall: f64,
     /// Retry backoff waited before charging started or was given up.
     pub backoff_s: Seconds,
     /// Realized dwell, including degradation stretch; `0` if the stop
@@ -539,6 +542,7 @@ impl ExecState {
             anchor: exec.net.base(),
             drive_m: d,
             drive_s: t,
+            stall: 1.0,
             backoff_s: Seconds(0.0),
             dwell_s: Seconds(0.0),
             attempts: 0,
@@ -550,7 +554,8 @@ impl ExecState {
 
     fn visit_stop(&mut self, exec: &Executor<'_>, tag: usize, stop: Stop) -> Result<(), ExecError> {
         self.ended_at_base = false;
-        let (d, t) = self.drive(exec, stop.anchor(), self.schedule.stalls[tag]);
+        let stall = self.schedule.stalls[tag];
+        let (d, t) = self.drive(exec, stop.anchor(), stall);
         if stop.bundle.is_empty() {
             // Way-point (e.g. the base when include_base is set).
             self.timeline.push(ExecutedStop {
@@ -558,6 +563,7 @@ impl ExecState {
                 anchor: stop.anchor(),
                 drive_m: d,
                 drive_s: t,
+                stall,
                 backoff_s: Seconds(0.0),
                 dwell_s: Seconds(0.0),
                 attempts: 0,
@@ -572,9 +578,8 @@ impl ExecState {
         } else {
             self.schedule.failed_attempts[tag]
         };
-        let max_retries = self.model_max_retries;
-        if fails > max_retries {
-            return self.unrecoverable_stop(exec, tag, stop, d, t, max_retries);
+        if fails > self.model_max_retries {
+            return self.unrecoverable_stop(exec, tag, stop, d, t, stall);
         }
         // `fails` transient failures, then one clean attempt. The
         // charger waits backoff * 2^(k-1) after failure k; with the
@@ -623,6 +628,7 @@ impl ExecState {
             anchor: stop.anchor(),
             drive_m: d,
             drive_s: t,
+            stall,
             backoff_s: backoff,
             dwell_s: dwell,
             attempts: fails + 1,
@@ -641,8 +647,9 @@ impl ExecState {
         stop: Stop,
         drive_m: Meters,
         drive_s: Seconds,
-        max_retries: u32,
+        stall: f64,
     ) -> Result<(), ExecError> {
+        let max_retries = self.model_max_retries;
         let attempts = max_retries + 1;
         let backoff = self.backoff_total(max_retries);
         self.retries += attempts;
@@ -669,6 +676,7 @@ impl ExecState {
                     anchor: stop.anchor(),
                     drive_m,
                     drive_s,
+                    stall,
                     backoff_s: backoff,
                     dwell_s: Seconds(0.0),
                     attempts,
@@ -686,6 +694,7 @@ impl ExecState {
                     anchor: stop.anchor(),
                     drive_m,
                     drive_s,
+                    stall,
                     backoff_s: backoff,
                     dwell_s: Seconds(0.0),
                     attempts,

@@ -15,24 +15,25 @@
 //! When the low-battery population reaches the trigger while the fleet is
 //! idle, a `Dispatch` event plans a round **through [`ContextCache`]** (so
 //! replans reuse cached candidate/distance/power artifacts) and unrolls it
-//! into per-charger *segments* (leg → backoff → dwell). Three modes:
+//! into per-charger *segments* (leg → backoff → dwell). There is one fault
+//! model, [`bc_core::execute::Executor`]:
 //!
-//! - **single charger + faults**: the round is delegated to
-//!   [`bc_core::execute::Executor`] (`execute_with_dead`), and the realized
-//!   timeline is replayed as events — bit-compatible with the legacy
-//!   `sim::lifetime` fault path, including its round-end application of
-//!   hardware deaths.
-//! - **single charger, no faults**: the legacy integrator's leg ordering is
-//!   reproduced exactly (the closing leg is driven *first*, the charger
-//!   lives in the field and never detours to base), which is what makes the
-//!   death-time equivalence test tight.
-//! - **multi-charger**: tour stops are divided by the fleet's
-//!   [`DispatchPolicy`]; each charger drives base → its arc → base. With
-//!   faults, the round's [`bc_core::faults::FaultSchedule`] is applied
-//!   directly (stall-stretched legs, retry backoff, degradation-stretched
-//!   dwells, abandoned stops) and pinned hardware deaths fire as
-//!   `FaultDeath` events when the owning stop is reached; dead sensors are
-//!   then removed from the cached network before the next plan.
+//! - **with faults** (any fleet size): the round is executed by
+//!   `execute_with_dead` under the scenario's recovery policy, and the
+//!   realized timeline is replayed as events. Recovery metrics come from
+//!   the execution report, and the round's hardware deaths land as
+//!   `FaultDeath` events at round end. A single charger replays the
+//!   timeline in execution order, base visits included; a fleet divides
+//!   the realized plan-stop entries by its
+//!   [`DispatchPolicy`](crate::fleet::DispatchPolicy), and each
+//!   charger drives base → its arc → base, every leg keeping the stall the
+//!   executor realized for the stop it leads into.
+//! - **fault-free, single charger**: the legacy integrator's leg ordering
+//!   is reproduced exactly (the closing leg is driven *first*, the charger
+//!   lives in the field and never detours to base), which is what makes
+//!   the death-time equivalence test tight.
+//! - **fault-free fleet**: plan stops are divided by the dispatch policy,
+//!   base → arc → base, as with faults.
 //!
 //! A low-battery crossing that fires *mid-round* for a sensor with no
 //! remaining scheduled service marks the plan stale; the next dispatch
@@ -46,10 +47,9 @@ use crate::scenario::{Scenario, ScenarioError};
 use crate::state::SensorBank;
 use crate::trace::{TraceRecord, TraceRing};
 use bc_core::context::ContextCache;
-use bc_core::execute::{ExecError, Executor};
+use bc_core::execute::{ExecError, ExecutedStop, Executor};
 use bc_core::faults::FaultModel;
-use bc_core::plan::ChargingPlan;
-use bc_core::plan::PlanError;
+use bc_core::plan::{ChargingPlan, PlanError, Stop};
 use bc_geom::Point;
 use bc_units::{Joules, Meters, Seconds};
 use bc_wsn::{Network, Sensor};
@@ -143,8 +143,9 @@ pub struct DesReport {
     pub recovery_latency_s: Seconds,
     /// Total energy spent above the fault-free cost of each round.
     pub extra_energy_j: Joules,
-    /// Plans rebuilt after the first (low-battery staleness triggers and
-    /// post-death network repairs), all through the context cache.
+    /// Plans rebuilt after the first: low-battery staleness replans
+    /// through the context cache, plus the executor's mid-round replans
+    /// under [`bc_core::execute::RecoveryPolicy::ReplanRemaining`].
     pub replans: usize,
     /// Recovery visits to the base station across all rounds.
     pub base_returns: usize,
@@ -196,11 +197,9 @@ pub fn run(scenario: &Scenario) -> Result<DesReport, DesError> {
     Engine::new(scenario)?.run()
 }
 
-/// How a sensor's recharge dwell translates into harvested energy.
+/// One leg of a charger's route and the service at its end.
 #[derive(Debug, Clone)]
 struct Segment {
-    /// Plan stop this segment realizes (`None` for base/closing legs).
-    stop_tag: Option<usize>,
     /// Where the charger parks.
     anchor: Point,
     /// Length of the leg into this segment.
@@ -214,10 +213,61 @@ struct Segment {
     /// Charging efficiency applied to the harvest.
     efficiency: f64,
     /// Original indices of sensors recharged when the dwell completes.
-    /// Pruned in place when a pinned fault kills a member mid-round.
     served: Vec<usize>,
     /// True for the final leg back to base: no dwell, ends the route.
     closing: bool,
+}
+
+/// One service stop of a round, before it is placed on a charger's route.
+#[derive(Debug, Clone)]
+struct Visit {
+    anchor: Point,
+    /// Stall multiplier on the leg into this stop (`1.0` = nominal).
+    stall: f64,
+    backoff_s: Seconds,
+    dwell_s: Seconds,
+    efficiency: f64,
+    served: Vec<usize>,
+}
+
+impl Visit {
+    /// A fault-free plan stop.
+    fn planned(stop: &Stop) -> Self {
+        Visit {
+            anchor: stop.anchor(),
+            stall: 1.0,
+            backoff_s: Seconds::ZERO,
+            dwell_s: stop.dwell,
+            efficiency: 1.0,
+            served: stop.bundle.sensors.clone(),
+        }
+    }
+
+    /// A stop as the executor realized it.
+    fn executed(e: ExecutedStop) -> Self {
+        Visit {
+            anchor: e.anchor,
+            stall: e.stall,
+            backoff_s: e.backoff_s,
+            dwell_s: e.dwell_s,
+            efficiency: e.efficiency,
+            served: e.served,
+        }
+    }
+
+    /// The segment reached by a leg of `leg_m` driven in `leg_s`.
+    fn segment(&self, leg_m: Meters, leg_s: Seconds) -> Segment {
+        Segment {
+            anchor: self.anchor,
+            leg_m,
+            leg_s,
+            backoff_s: self.backoff_s,
+            dwell_s: self.dwell_s,
+            efficiency: self.efficiency,
+            served: self.served.clone(),
+            closing: false,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -236,18 +286,8 @@ struct ChargerState {
     ledger: ChargerLedger,
 }
 
-/// Round realization mode, fixed for the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Single charger with faults: rounds delegated to `bc_core::execute`.
-    ExecutorRound,
-    /// Everything else: segments built directly by the engine.
-    Direct,
-}
-
 struct Engine<'a> {
     sc: &'a Scenario,
-    mode: Mode,
     horizon: Time,
     trigger_eff: usize,
     clock: Clock,
@@ -261,24 +301,18 @@ struct Engine<'a> {
     low_count: usize,
     dispatch_pending: bool,
 
+    /// The cached network keeps every sensor, so its indices are the
+    /// original ones; hardware-dead sensors are handed to the executor.
     cache: ContextCache,
     plan: ChargingPlan,
-    /// Current network index → original sensor index.
-    orig_of: Vec<usize>,
     needs_replan: bool,
-    pending_removals: Vec<usize>,
 
     chargers: Vec<ChargerState>,
     round_active: usize,
     /// Per original sensor: scheduled for service in the active round.
     still_scheduled: Vec<bool>,
-    /// Per original sensor: recharged during the active round.
-    round_served: Vec<bool>,
-    /// Original sensors planned (live at dispatch) in the active round.
-    round_planned: Vec<usize>,
-    /// Deaths pinned per plan stop for the active round (direct mode).
-    round_deaths: Vec<Vec<usize>>,
-    /// Executor-mode deaths, applied at round end (legacy parity).
+    /// Hardware deaths the executor realized this round, applied at
+    /// round end (legacy parity).
     pending_round_deaths: Vec<usize>,
 
     rounds: usize,
@@ -311,14 +345,8 @@ impl<'a> Engine<'a> {
         let demand_net = Network::new(demand_sensors, sc.net.field(), sc.net.base());
         let cache = ContextCache::new(demand_net, sc.planner.clone());
         let plan = cache.plan(sc.algorithm)?.into_plan();
-        let mode = if sc.faults.is_some() && sc.fleet.size == 1 {
-            Mode::ExecutorRound
-        } else {
-            Mode::Direct
-        };
         Ok(Engine {
             sc,
-            mode,
             horizon: Time::at(sc.horizon_s),
             trigger_eff: sc.trigger_count.min(n.max(1)),
             clock: Clock::new(),
@@ -330,9 +358,7 @@ impl<'a> Engine<'a> {
             dispatch_pending: false,
             cache,
             plan,
-            orig_of: (0..n).collect(),
             needs_replan: false,
-            pending_removals: Vec::new(),
             chargers: (0..sc.fleet.size)
                 .map(|c| ChargerState {
                     segments: Vec::new(),
@@ -344,9 +370,6 @@ impl<'a> Engine<'a> {
                 .collect(),
             round_active: 0,
             still_scheduled: vec![false; n],
-            round_served: vec![false; n],
-            round_planned: Vec::new(),
-            round_deaths: Vec::new(),
             pending_round_deaths: Vec::new(),
             rounds: 0,
             replans: 0,
@@ -511,17 +534,6 @@ impl<'a> Engine<'a> {
         }
         self.hw_dead_list.push(s);
         self.fault_death_count += 1;
-        self.still_scheduled[s] = false;
-        // Prune the victim from every not-yet-completed service set.
-        for c in 0..self.chargers.len() {
-            let from = self.chargers[c].next;
-            for seg in self.chargers[c].segments.iter_mut().skip(from) {
-                seg.served.retain(|&x| x != s);
-            }
-        }
-        if self.mode == Mode::Direct && self.sc.faults.is_some() {
-            self.pending_removals.push(s);
-        }
     }
 
     // ---- dispatch --------------------------------------------------------
@@ -604,16 +616,7 @@ impl<'a> Engine<'a> {
         {
             return Ok(());
         }
-        // Repair the cached network first: sensors lost to hardware faults
-        // are removed (bumping the cache revision), then a staleness
-        // trigger rebuilds the plan — both through the context cache.
-        for orig in std::mem::take(&mut self.pending_removals) {
-            if let Some(ci) = self.orig_of.iter().position(|&o| o == orig) {
-                self.plan = self.cache.remove_sensor(&self.plan, ci)?;
-                self.orig_of.remove(ci);
-                self.replans += 1;
-            }
-        }
+        // A staleness trigger rebuilds the plan through the context cache.
         if self.needs_replan {
             self.plan = self.cache.plan(self.sc.algorithm)?.into_plan();
             self.needs_replan = false;
@@ -623,6 +626,7 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         self.rounds += 1;
+        let sc = self.sc;
         if bc_obs::active() {
             bc_obs::event(
                 "des",
@@ -633,25 +637,22 @@ impl<'a> Engine<'a> {
                     bc_obs::Field::new("low", self.low_count),
                     bc_obs::Field::new(
                         "mode",
-                        match self.mode {
-                            Mode::ExecutorRound => "executor",
-                            Mode::Direct => "direct",
-                        },
+                        if sc.faults.is_some() { "executor" } else { "direct" },
                     ),
                 ],
             );
         }
-        let sc = self.sc;
-        let routes = match self.mode {
-            Mode::ExecutorRound => self.executor_round()?,
-            Mode::Direct => match &sc.faults {
-                Some(fm) => self.direct_faulty_round(fm),
-                None => self.direct_clean_round(),
-            },
+        let routes = match &sc.faults {
+            Some(fm) => self.executor_round(fm)?,
+            None => self.clean_round(),
         };
         let now = self.clock.now();
-        self.round_served.iter_mut().for_each(|b| *b = false);
         for (c, segments) in routes.into_iter().enumerate() {
+            for seg in &segments {
+                for &s in &seg.served {
+                    self.still_scheduled[s] = true;
+                }
+            }
             let ch = &mut self.chargers[c];
             ch.segments = segments;
             ch.next = 0;
@@ -665,237 +666,112 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Single charger + faults: delegate the round to `bc_core::execute`
-    /// and unroll the realized timeline into segments. Recovery metrics
-    /// come wholesale from the report (legacy parity, even when the
-    /// horizon later clips the replay).
-    fn executor_round(&mut self) -> Result<Vec<Vec<Segment>>, DesError> {
-        let fm = self.sc.faults.clone().unwrap_or_else(FaultModel::none);
+    /// Rounds with faults: executes the round with `bc_core::execute` and
+    /// unrolls the realized timeline into segments. Recovery metrics come
+    /// wholesale from the report (legacy parity, even when the horizon
+    /// later clips the replay); hardware deaths land at round end.
+    fn executor_round(&mut self, fm: &FaultModel) -> Result<Vec<Vec<Segment>>, DesError> {
         let round_seed = u64::try_from(self.rounds - 1).unwrap_or(u64::MAX);
         let report = Executor::new(self.cache.network(), self.cache.config())
             .with_speed(self.sc.speed_mps.get())
             .with_policy(self.sc.recovery)
-            .execute_with_dead(&self.plan, &fm, round_seed, &self.hw_dead_list)?;
-        let mut segments = Vec::with_capacity(report.timeline.len() + 1);
-        let mut replayed_m = Meters(0.0);
-        let mut replayed_s = Seconds::ZERO;
-        for e in &report.timeline {
-            replayed_m += e.drive_m;
-            replayed_s = replayed_s + e.drive_s + e.backoff_s + e.dwell_s;
-            segments.push(Segment {
-                stop_tag: e.plan_stop,
-                anchor: e.anchor,
-                leg_m: e.drive_m,
-                leg_s: e.drive_s,
-                backoff_s: e.backoff_s,
-                dwell_s: e.dwell_s,
-                efficiency: e.efficiency,
-                served: e.served.clone(),
-                closing: false,
-            });
-        }
-        // The closing leg lives in the report totals, not the timeline.
-        let close_s = (report.duration_s - replayed_s).max(Seconds::ZERO);
-        let close_m = (report.distance_m - replayed_m).max(Meters(0.0));
-        if close_s > Seconds::ZERO || close_m > Meters(0.0) {
-            segments.push(Segment {
-                stop_tag: None,
-                anchor: self.sc.net.base(),
-                leg_m: close_m,
-                leg_s: close_s,
-                backoff_s: Seconds::ZERO,
-                dwell_s: Seconds::ZERO,
-                efficiency: 1.0,
-                served: Vec::new(),
-                closing: true,
-            });
-        }
-        for seg in &segments {
-            for &s in &seg.served {
-                self.still_scheduled[s] = true;
-            }
-        }
-        // Hardware deaths land at round end, like the legacy loop.
-        self.pending_round_deaths = report.fault_deaths.clone();
+            .execute_with_dead(&self.plan, fm, round_seed, &self.hw_dead_list)?;
+        self.pending_round_deaths = report.fault_deaths;
         self.stranded_rounds += report.stranded.len();
         self.recovery_latency += report.recovery_latency_s;
         self.extra_energy += report.extra_energy_j;
         self.replans += report.replans;
         self.base_returns += report.base_returns;
-        self.round_planned.clear();
-        self.round_deaths.clear();
+        if self.sc.fleet.size > 1 {
+            let visits: Vec<Visit> = report
+                .timeline
+                .into_iter()
+                .filter(|e| e.plan_stop.is_some())
+                .map(Visit::executed)
+                .collect();
+            return Ok(self.fleet_routes(&visits));
+        }
+        // One charger replays the timeline in execution order.
+        let mut segments = Vec::with_capacity(report.timeline.len() + 1);
+        let mut replayed_m = Meters(0.0);
+        let mut replayed_s = Seconds::ZERO;
+        for e in report.timeline {
+            replayed_m += e.drive_m;
+            replayed_s = replayed_s + e.drive_s + e.backoff_s + e.dwell_s;
+            let (leg_m, leg_s) = (e.drive_m, e.drive_s);
+            segments.push(Visit::executed(e).segment(leg_m, leg_s));
+        }
+        // The closing leg lives in the report totals, not the timeline.
+        let close_s = (report.duration_s - replayed_s).max(Seconds::ZERO);
+        let close_m = (report.distance_m - replayed_m).max(Meters(0.0));
+        if close_s > Seconds::ZERO || close_m > Meters(0.0) {
+            segments.push(self.closing_segment(close_m, close_s));
+        }
         Ok(vec![segments])
     }
 
     /// Fault-free rounds. A single charger reproduces the legacy
-    /// integrator exactly: the closing leg is driven *first* (from the
-    /// last stop's anchor into stop 0) and the charger stays in the field
-    /// between rounds. A fleet instead splits the tour by dispatch policy,
-    /// each charger driving base → its arc → base.
-    fn direct_clean_round(&mut self) -> Vec<Vec<Segment>> {
-        self.build_direct_routes(None)
-    }
-
-    /// Multi-charger rounds with faults: apply this round's schedule
-    /// directly — stall-stretched legs, retry backoff, degradation
-    /// stretch, abandoned stops — and pin hardware deaths to the arrival
-    /// at their stop.
-    fn direct_faulty_round(&mut self, fm: &FaultModel) -> Vec<Vec<Segment>> {
-        self.build_direct_routes(Some(fm))
-    }
-
-    fn build_direct_routes(&mut self, fm: Option<&FaultModel>) -> Vec<Vec<Segment>> {
+    /// integrator exactly: leg i runs from stop (i-1 mod m) into stop i,
+    /// so the closing leg is driven *first* and the charger ends the round
+    /// parked at the last stop. A fleet splits the tour by dispatch policy.
+    fn clean_round(&self) -> Vec<Vec<Segment>> {
         let stops = &self.plan.stops;
+        if self.sc.fleet.size > 1 {
+            let visits: Vec<Visit> = stops.iter().map(Visit::planned).collect();
+            return self.fleet_routes(&visits);
+        }
         let m = stops.len();
-        let speed = self.sc.speed_mps;
-        let schedule = fm.map(|f| {
-            let round_seed = u64::try_from(self.rounds - 1).unwrap_or(u64::MAX);
-            f.schedule(round_seed, self.orig_of.len(), m)
-        });
+        let segments = stops
+            .iter()
+            .enumerate()
+            .map(|(i, stop)| {
+                let prev = stops[(i + m - 1) % m].anchor();
+                let leg_m = Meters(prev.distance(stop.anchor()));
+                Visit::planned(stop).segment(leg_m, leg_m.time_at(self.sc.speed_mps))
+            })
+            .collect();
+        vec![segments]
+    }
 
-        // Per-stop realized parameters.
-        let mut stop_backoff = vec![Seconds::ZERO; m];
-        let mut stop_dwell: Vec<Seconds> = stops.iter().map(|s| s.dwell).collect();
-        let mut stop_eff = vec![1.0f64; m];
-        let mut stop_stall = vec![1.0f64; m];
-        let mut abandoned = vec![false; m];
-        if let (Some(f), Some(sched)) = (fm, &schedule) {
-            for i in 0..m {
-                stop_stall[i] = sched.stalls[i];
-                let fails = sched.failed_attempts[i];
-                if fails > f.max_retries {
-                    abandoned[i] = true;
-                    stop_backoff[i] = backoff_total(f.backoff_s, f.max_retries);
-                    stop_dwell[i] = Seconds::ZERO;
-                } else {
-                    stop_backoff[i] = backoff_total(f.backoff_s, fails);
-                    if let Some(eff) = sched.degraded[i] {
-                        stop_eff[i] = eff;
-                        stop_dwell[i] = stops[i].dwell / eff;
-                    }
-                }
-            }
-        }
-
-        // Round-level fault accounting, full-round (legacy parity with the
-        // executor path, which books the report wholesale at dispatch):
-        // recovery latency is stall + backoff + stretch; extra energy is
-        // the realized-vs-planned dwell energy delta (stretches cost,
-        // abandonments refund).
-        self.round_planned.clear();
-        self.round_deaths = vec![Vec::new(); m];
-        let mut served_of: Vec<Vec<usize>> = Vec::with_capacity(m);
-        for (i, stop) in stops.iter().enumerate() {
-            let members: Vec<usize> = stop
-                .bundle
-                .sensors
-                .iter()
-                .map(|&ci| self.orig_of[ci])
-                .filter(|&o| !self.sensors.hw_dead(o))
-                .collect();
-            self.round_planned.extend(members.iter().copied());
-            if schedule.is_some() {
-                self.recovery_latency = self.recovery_latency
-                    + stop_backoff[i]
-                    + (stop_dwell[i] - stops[i].dwell).max(Seconds::ZERO);
-                self.extra_energy = self.extra_energy
-                    + self.sc.planner.energy.charging_energy(stop_dwell[i])
-                    - self.sc.planner.energy.charging_energy(stops[i].dwell);
-            }
-            served_of.push(if abandoned[i] { Vec::new() } else { members });
-        }
-        if let Some(sched) = &schedule {
-            for (ci, death) in sched.deaths.iter().enumerate() {
-                if let Some(stop) = *death {
-                    let orig = self.orig_of[ci];
-                    if !self.sensors.hw_dead(orig) && stop < m {
-                        self.round_deaths[stop].push(orig);
-                    }
-                }
-            }
-        }
-
-        let anchors: Vec<Point> = stops.iter().map(bc_core::plan::Stop::anchor).collect();
-        let mut routes: Vec<Vec<Segment>> = Vec::with_capacity(self.sc.fleet.size);
-        if self.sc.fleet.size == 1 {
-            // Legacy leg ordering: leg i runs from stop (i-1 mod m) into
-            // stop i, so the closing leg comes first and the charger ends
-            // the round parked at the last stop.
-            let mut segments = Vec::with_capacity(m);
-            for i in 0..m {
-                let prev = anchors[(i + m - 1) % m];
-                let leg_m = Meters(prev.distance(anchors[i]));
-                let nominal_s = leg_m.time_at(speed);
-                let leg_s = nominal_s * stop_stall[i];
-                if schedule.is_some() {
-                    self.recovery_latency += (leg_s - nominal_s).max(Seconds::ZERO);
-                }
-                segments.push(Segment {
-                    stop_tag: Some(i),
-                    anchor: anchors[i],
-                    leg_m,
-                    leg_s,
-                    backoff_s: stop_backoff[i],
-                    dwell_s: stop_dwell[i],
-                    efficiency: stop_eff[i],
-                    served: served_of[i].clone(),
-                    closing: false,
-                });
-            }
-            routes.push(segments);
-        } else {
-            let base = self.sc.net.base();
-            let assignment =
-                assign_stops(self.sc.fleet.dispatch, &anchors, self.sc.fleet.size, base);
-            for route in assignment {
+    /// Divides `visits` (in tour order) among the fleet by its dispatch
+    /// policy; each charger drives base → its arc → base, every leg
+    /// stretched by the stall of the stop it leads into.
+    fn fleet_routes(&self, visits: &[Visit]) -> Vec<Vec<Segment>> {
+        let base = self.sc.net.base();
+        let anchors: Vec<Point> = visits.iter().map(|v| v.anchor).collect();
+        assign_stops(self.sc.fleet.dispatch, &anchors, self.sc.fleet.size, base)
+            .into_iter()
+            .map(|route| {
                 let mut segments = Vec::with_capacity(route.len() + 1);
                 let mut pos = base;
-                for &i in &route {
-                    let leg_m = Meters(pos.distance(anchors[i]));
-                    let nominal_s = leg_m.time_at(speed);
-                    let leg_s = nominal_s * stop_stall[i];
-                    if schedule.is_some() {
-                        self.recovery_latency += (leg_s - nominal_s).max(Seconds::ZERO);
-                    }
-                    segments.push(Segment {
-                        stop_tag: Some(i),
-                        anchor: anchors[i],
-                        leg_m,
-                        leg_s,
-                        backoff_s: stop_backoff[i],
-                        dwell_s: stop_dwell[i],
-                        efficiency: stop_eff[i],
-                        served: served_of[i].clone(),
-                        closing: false,
-                    });
-                    pos = anchors[i];
+                for i in route {
+                    let v = &visits[i];
+                    let leg_m = Meters(pos.distance(v.anchor));
+                    let leg_s = leg_m.time_at(self.sc.speed_mps) * v.stall;
+                    pos = v.anchor;
+                    segments.push(v.segment(leg_m, leg_s));
                 }
                 if !segments.is_empty() {
                     let leg_m = Meters(pos.distance(base));
-                    segments.push(Segment {
-                        stop_tag: None,
-                        anchor: base,
-                        leg_m,
-                        leg_s: leg_m.time_at(speed),
-                        backoff_s: Seconds::ZERO,
-                        dwell_s: Seconds::ZERO,
-                        efficiency: 1.0,
-                        served: Vec::new(),
-                        closing: true,
-                    });
+                    segments.push(self.closing_segment(leg_m, leg_m.time_at(self.sc.speed_mps)));
                 }
-                routes.push(segments);
-            }
+                segments
+            })
+            .collect()
+    }
+
+    /// The final leg back to base: no dwell, ends the route.
+    fn closing_segment(&self, leg_m: Meters, leg_s: Seconds) -> Segment {
+        Segment {
+            anchor: self.sc.net.base(),
+            leg_m,
+            leg_s,
+            backoff_s: Seconds::ZERO,
+            dwell_s: Seconds::ZERO,
+            efficiency: 1.0,
+            served: Vec::new(),
+            closing: true,
         }
-        for route in &routes {
-            for seg in route {
-                for &s in &seg.served {
-                    self.still_scheduled[s] = true;
-                }
-            }
-        }
-        self.pending_round_deaths.clear();
-        routes
     }
 
     // ---- charger motion --------------------------------------------------
@@ -929,22 +805,13 @@ impl<'a> Engine<'a> {
 
     fn on_arrival(&mut self, c: usize, seg_idx: usize) -> Result<(), DesError> {
         let now = self.clock.now();
-        let (leg_m, leg_s, backoff, dwell, stop_tag, closing) = {
+        let (leg_m, leg_s, backoff, dwell, closing) = {
             let seg = &self.chargers[c].segments[seg_idx];
-            (seg.leg_m, seg.leg_s, seg.backoff_s, seg.dwell_s, seg.stop_tag, seg.closing)
+            (seg.leg_m, seg.leg_s, seg.backoff_s, seg.dwell_s, seg.closing)
         };
         self.chargers[c].ledger.distance_m += leg_m;
         self.chargers[c].ledger.drive_s += leg_s;
         self.spend_move(c, leg_m);
-        // Hardware deaths pinned to this stop fire on arrival, before the
-        // dwell can complete.
-        if let Some(tag) = stop_tag {
-            if tag < self.round_deaths.len() {
-                for s in std::mem::take(&mut self.round_deaths[tag]) {
-                    self.queue.schedule(now, Event::FaultDeath { sensor: s });
-                }
-            }
-        }
         if closing {
             self.queue.schedule(now, Event::Returned { charger: c });
         } else {
@@ -970,7 +837,6 @@ impl<'a> Engine<'a> {
         for s in served {
             self.recharge(s, anchor, dwell, efficiency);
             self.still_scheduled[s] = false;
-            self.round_served[s] = true;
             self.chargers[c].ledger.sensors_charged += 1;
         }
         self.chargers[c].next = seg_idx + 1;
@@ -980,16 +846,10 @@ impl<'a> Engine<'a> {
 
     fn end_of_round(&mut self) {
         let now = self.clock.now();
-        // Executor-mode hardware deaths land here, as events (they fire
+        // The round's hardware deaths land here, as events (they fire
         // after this handler, before any same-instant re-dispatch).
         for s in std::mem::take(&mut self.pending_round_deaths) {
             self.queue.schedule(now, Event::FaultDeath { sensor: s });
-        }
-        // Direct-mode stranding: planned, still alive, not served.
-        for s in std::mem::take(&mut self.round_planned) {
-            if !self.sensors.hw_dead(s) && !self.round_served[s] {
-                self.stranded_rounds += 1;
-            }
         }
         self.still_scheduled.iter_mut().for_each(|b| *b = false);
         self.maybe_dispatch();
@@ -1041,7 +901,7 @@ impl<'a> Engine<'a> {
                 self.chargers[c].ledger.busy_s += horizon.since(t0);
             }
         }
-        // A clipped executor round still applies its hardware deaths
+        // A clipped round still applies its hardware deaths
         // (legacy parity); they accrue no downtime past the horizon.
         for s in std::mem::take(&mut self.pending_round_deaths) {
             self.apply_hw_death(s);
@@ -1097,18 +957,6 @@ impl<'a> Engine<'a> {
         );
         report
     }
-}
-
-/// Exponential retry backoff: the charger waits `backoff * 2^(k-1)` after
-/// failure `k` (mirrors `bc_core::execute`).
-fn backoff_total(backoff: Seconds, fails: u32) -> Seconds {
-    let mut total = Seconds::ZERO;
-    let mut wait = backoff;
-    for _ in 0..fails {
-        total += wait;
-        wait = wait * 2.0;
-    }
-    total
 }
 
 #[cfg(test)]
@@ -1167,17 +1015,58 @@ mod tests {
         rep.check_fleet_ledger().unwrap();
     }
 
+    /// Records, in order, the sensor of every `fault-death` and
+    /// `battery.invalidate` (recharge) event the engine emits.
+    #[derive(Default)]
+    struct SensorEvents(std::sync::Mutex<Vec<(&'static str, u64)>>);
+
+    impl bc_obs::Recorder for SensorEvents {
+        fn record(&self, ev: &bc_obs::ObsEvent<'_>) {
+            if ev.scope != "des" || !matches!(ev.name, "fault-death" | "battery.invalidate") {
+                return;
+            }
+            for f in ev.fields {
+                if let ("sensor", bc_obs::Value::U64(s)) = (f.key, &f.value) {
+                    self.0.lock().unwrap().push((ev.name, *s));
+                }
+            }
+        }
+    }
+
     #[test]
-    fn faulty_fleet_prunes_dead_sensors_from_future_plans() {
-        let fm = FaultModel { death_prob: 0.4, ..FaultModel::none() };
-        let sc = scenario(16, 6)
-            .with_fleet(2, DispatchPolicy::RoundRobin)
-            .with_faults(fm, RecoveryPolicy::SkipAndContinue);
-        let rep = run(&sc).unwrap();
-        assert!(rep.fault_deaths > 0, "40% death rate must kill someone");
-        assert!(rep.replans > 0, "deaths must force replans");
-        assert!(rep.sensors_ever_dead >= rep.fault_deaths);
-        rep.check_fleet_ledger().unwrap();
+    fn faulty_fleet_honours_recovery_policy() {
+        for seed in [5, 6, 7] {
+            let reports: Vec<DesReport> = RecoveryPolicy::ALL
+                .into_iter()
+                .map(|policy| {
+                    let sc = scenario(40, seed)
+                        .with_fleet(3, DispatchPolicy::BundlePartition)
+                        .with_faults(FaultModel::with_rate(seed, 0.3), policy);
+                    let events = std::sync::Arc::new(SensorEvents::default());
+                    let rep = bc_obs::with_local(events.clone(), || run(&sc)).unwrap();
+                    rep.check_fleet_ledger().unwrap();
+                    // A hardware-dead sensor is never recharged again.
+                    let mut dead = std::collections::BTreeSet::new();
+                    for &(name, s) in events.0.lock().unwrap().iter() {
+                        if name == "fault-death" {
+                            dead.insert(s);
+                        } else {
+                            assert!(!dead.contains(&s), "{policy}: dead sensor {s} recharged");
+                        }
+                    }
+                    // A round clipped by the horizon applies its deaths
+                    // without events.
+                    assert!(dead.len() <= rep.fault_deaths, "{policy}: fault deaths");
+                    rep
+                })
+                .collect();
+            assert!(reports[0].fault_deaths > 0, "seed {seed}: a 30% rate must kill someone");
+            for (i, a) in reports.iter().enumerate() {
+                for b in &reports[i + 1..] {
+                    assert_ne!(a, b, "seed {seed}: recovery policy ignored by the fleet");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1236,6 +1125,118 @@ mod tests {
         let mut sc = scenario(5, 1);
         sc.fleet.size = 0;
         assert!(matches!(run(&sc), Err(DesError::Scenario(_))));
+        let mut sc = scenario(5, 1);
+        sc.horizon_s = Seconds::ZERO;
+        assert!(matches!(run(&sc), Err(DesError::Scenario(ScenarioError::Horizon(_)))));
+    }
+
+    /// 30 sensors on a 200 m field, r = 30 m, the paper's 24 h horizon.
+    fn lifetime(algorithm: Algorithm) -> Scenario {
+        Scenario::paper_sim(deploy::uniform(30, Aabb::square(200.0), 2.0, 3), 30.0, algorithm)
+    }
+
+    #[test]
+    fn charger_keeps_network_alive() {
+        let rep = run(&lifetime(Algorithm::BcOpt)).unwrap();
+        assert!(rep.rounds > 0, "no rounds dispatched");
+        assert!(
+            rep.availability > 0.99,
+            "availability {} with {} deaths",
+            rep.availability,
+            rep.sensors_ever_dead
+        );
+    }
+
+    #[test]
+    fn no_charging_when_drain_is_negligible() {
+        let mut sc = lifetime(Algorithm::Bc);
+        sc.drain_w = bc_units::Watts(1e-9); // batteries outlast the horizon
+        let rep = run(&sc).unwrap();
+        assert_eq!(rep.rounds, 0);
+        assert_eq!(rep.charger_energy_j, Joules(0.0));
+        assert_eq!(rep.availability, 1.0);
+    }
+
+    #[test]
+    fn heavier_drain_needs_more_rounds() {
+        let mut light = lifetime(Algorithm::Bc);
+        light.horizon_s = crate::clock::hours(6.0);
+        let mut heavy = light.clone();
+        heavy.drain_w = heavy.drain_w * 3.0;
+        let r_light = run(&light).unwrap();
+        let r_heavy = run(&heavy).unwrap();
+        assert!(r_heavy.rounds > r_light.rounds);
+        assert!(r_heavy.charger_energy_j > r_light.charger_energy_j);
+    }
+
+    #[test]
+    fn efficient_planner_spends_less_over_the_horizon() {
+        let net = deploy::uniform(60, Aabb::square(250.0), 2.0, 9);
+        let mut sc = Scenario::paper_sim(net, 25.0, Algorithm::Sc);
+        sc.horizon_s = crate::clock::hours(6.0);
+        let mut opt = sc.clone();
+        opt.algorithm = Algorithm::BcOpt;
+        let r_sc = run(&sc).unwrap();
+        let r_opt = run(&opt).unwrap();
+        assert!(
+            r_opt.charger_energy_j < r_sc.charger_energy_j,
+            "BC-OPT {} vs SC {}",
+            r_opt.charger_energy_j,
+            r_sc.charger_energy_j
+        );
+    }
+
+    #[test]
+    fn zero_fault_model_matches_perfect_execution() {
+        let mut base = lifetime(Algorithm::Bc);
+        base.horizon_s = crate::clock::hours(12.0);
+        let faulty = base.clone().with_faults(FaultModel::none(), RecoveryPolicy::ReplanRemaining);
+        let a = run(&base).unwrap();
+        let b = run(&faulty).unwrap();
+        assert_eq!(a.rounds, b.rounds);
+        // Per complete round the two replay orders spend identical energy;
+        // they only differ in where the horizon clips the final round
+        // (the fault-free single charger drives the closing leg first, the
+        // executor drives it last), so allow a fraction-of-a-round
+        // tolerance.
+        assert!(
+            (a.charger_energy_j - b.charger_energy_j).abs() / a.charger_energy_j < 0.05,
+            "perfect {} vs zero-fault {}",
+            a.charger_energy_j,
+            b.charger_energy_j
+        );
+        assert!(b.extra_energy_j.abs() < Joules(1e-6));
+        assert_eq!(b.fault_deaths, 0);
+        assert_eq!(b.stranded_sensor_rounds, 0);
+    }
+
+    #[test]
+    fn faulty_rounds_report_recovery_metrics() {
+        let mut sc = lifetime(Algorithm::Bc)
+            .with_faults(FaultModel::with_rate(7, 0.4), RecoveryPolicy::SkipAndContinue);
+        sc.horizon_s = crate::clock::hours(12.0);
+        let rep = run(&sc).unwrap();
+        assert!(rep.rounds > 0);
+        assert!(rep.recovery_latency_s > Seconds::ZERO, "a 40% fault rate must cost recovery time");
+        assert!(rep.charger_energy_j.is_finite() && rep.charger_energy_j > Joules(0.0));
+        assert!(rep.availability.is_finite());
+    }
+
+    #[test]
+    fn hardware_deaths_are_permanent() {
+        let fm = FaultModel { death_prob: 0.5, ..FaultModel::none() };
+        let mut sc = lifetime(Algorithm::Bc).with_faults(fm, RecoveryPolicy::ReplanRemaining);
+        sc.horizon_s = crate::clock::hours(12.0);
+        let rep = run(&sc).unwrap();
+        assert!(rep.fault_deaths > 0, "50% per-round death rate must kill");
+        // Battery depletion can kill more (survivors coast out after the
+        // trigger stops firing), but never fewer than the hardware deaths.
+        assert!(rep.sensors_ever_dead >= rep.fault_deaths);
+        assert!(
+            rep.availability < 0.99,
+            "dead sensors must show up as downtime, got {}",
+            rep.availability
+        );
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub enum Event {
         /// Fleet index of the charger.
         charger: usize,
     },
-    /// A pinned hardware fault (replayed from `bc-core::faults`) killed a
-    /// sensor. Scheduled at the instant the owning stop is reached, or at
-    /// round end for rounds delegated to `bc-core::execute`.
+    /// A hardware fault (realized by `bc-core::execute` from the round's
+    /// `bc-core::faults` schedule) killed a sensor. Scheduled at the end
+    /// of the round that realized it.
     FaultDeath {
         /// Original (scenario) sensor index.
         sensor: usize,

@@ -1,9 +1,11 @@
 //! `bc-des`: deterministic discrete-event simulation of bundle-charging
 //! deployments.
 //!
-//! The legacy `sim::lifetime` loop integrates the whole network over fixed
-//! replay intervals with a single charger. This crate replaces that
-//! substrate with a discrete-event engine:
+//! The legacy lifetime loop integrated the whole network over fixed
+//! replay intervals with a single charger (it survives as the test oracle
+//! `tests/lifetime_oracle/` at the workspace root). This crate replaces
+//! that substrate with a discrete-event engine, and [`run`] on a
+//! [`Scenario`] is the only way to simulate a deployment's lifetime:
 //!
 //! - an **event queue** keyed by `(time, sequence)`
 //!   ([`queue::EventQueue`]), so simultaneous events resolve by scheduling
@@ -18,8 +20,10 @@
 //!   module and linted everywhere else (`cargo xtask lint`, rule
 //!   `raw-time`);
 //! - event kinds ([`event::Event`]) for battery threshold crossings and
-//!   depletion, charger arrival/charging-complete/return, replayed
-//!   hardware faults, and threshold-triggered dispatch;
+//!   depletion, charger arrival/charging-complete/return, hardware
+//!   faults, and threshold-triggered dispatch. Every fault-injected
+//!   round, for one charger or a fleet, is executed by
+//!   `bc_core::execute::Executor` under the scenario's recovery policy;
 //! - a fleet of N mobile chargers with pluggable dispatch policies
 //!   ([`fleet::DispatchPolicy`]) and per-charger ledgers
 //!   ([`fleet::ChargerLedger`]), contract-checked against the run total;

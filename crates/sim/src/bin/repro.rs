@@ -11,7 +11,7 @@
 //! count, fleet utilization) for the CI `des-smoke` artifact. The
 //! `campaign` subcommand runs the shared `bc-campaign` smoke harness at
 //! reduced scale — queue-backend hold benchmark, seed sweep with rotated
-//! JSONL traces, merge-determinism check — writing `BENCH_des.json`
+//! JSONL traces, merge-determinism check — writing `BENCH_campaign.json`
 //! (trend lines), `campaign_snapshot.json` (byte-stable merged
 //! snapshot) and `campaign_traces/` for the CI `campaign-smoke`
 //! artifact. The `obs`
@@ -260,7 +260,7 @@ fn des_smoke(exp: &ExpConfig, out: &std::path::Path) -> Result<(), String> {
 /// The `campaign` subcommand: the shared `bc-campaign` smoke harness at
 /// reduced (CI) scale, with rotated trace streaming enabled so the CI
 /// job has trace artifacts to validate and upload. Writes
-/// `BENCH_des.json`, `campaign_snapshot.json` and `campaign_traces/`
+/// `BENCH_campaign.json`, `campaign_snapshot.json` and `campaign_traces/`
 /// into `out`.
 fn campaign_smoke(out: &std::path::Path) -> Result<(), String> {
     use bc_campaign::{run_smoke, SmokeOptions};
@@ -296,7 +296,7 @@ fn campaign_smoke(out: &std::path::Path) -> Result<(), String> {
     );
 
     std::fs::create_dir_all(out).map_err(|e| format!("creating {}: {e}", out.display()))?;
-    let bench_path = out.join("BENCH_des.json");
+    let bench_path = out.join("BENCH_campaign.json");
     std::fs::write(&bench_path, report.bench_json())
         .map_err(|e| format!("writing {}: {e}", bench_path.display()))?;
     eprintln!("   wrote {}", bench_path.display());

@@ -20,7 +20,6 @@ use bc_geom::Aabb;
 use bc_wsn::deploy;
 
 use crate::figures::{ExpConfig, DENSE_FIELD_SIDE_M, SIM_DEMAND_J};
-use crate::lifetime::{simulate, LifetimeConfig};
 use crate::{repeat, Summary, Table};
 
 /// Fault rates swept (probability scale fed to [`FaultModel::with_rate`]).
@@ -119,10 +118,10 @@ pub fn tables(exp: &ExpConfig) -> Vec<Table> {
                     SIM_DEMAND_J,
                     seed,
                 );
-                let mut cfg = LifetimeConfig::paper_sim(LIFETIME_SENSORS, 20.0, Algorithm::Bc)
+                let mut sc = bc_des::Scenario::paper_sim(net, 20.0, Algorithm::Bc)
                     .with_faults(FaultModel::with_rate(seed, rate), policy);
-                cfg.horizon_s = bc_units::Seconds(12.0 * 3600.0);
-                simulate(&net, &cfg)
+                sc.horizon_s = bc_des::clock::hours(12.0);
+                bc_des::run(&sc).unwrap_or_else(|e| panic!("{policy} lifetime at rate {rate}: {e}"))
             });
             row[1 + i] =
                 100.0 * Summary::of(&reps.iter().map(|r| r.availability).collect::<Vec<_>>()).mean;

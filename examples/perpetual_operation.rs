@@ -13,8 +13,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // demo binary: panics are fine
 use bundle_charging::core::tighten;
+use bundle_charging::des::{self, Scenario};
 use bundle_charging::prelude::*;
-use bundle_charging::sim::lifetime::{simulate, LifetimeConfig};
 
 fn main() {
     let n = 60;
@@ -26,8 +26,8 @@ fn main() {
         "planner", "rounds", "energy (J)", "availability", "deaths", "min batt (J)"
     );
     for algo in Algorithm::ALL {
-        let cfg = LifetimeConfig::paper_sim(n, 25.0, algo);
-        let rep = simulate(&net, &cfg);
+        let scenario = Scenario::paper_sim(net.clone(), 25.0, algo);
+        let rep = des::run(&scenario).expect("valid scenario");
         println!(
             "{:>8} {:>7} {:>14.0} {:>12.2}% {:>9} {:>12.3}",
             algo.name(),

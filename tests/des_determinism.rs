@@ -145,3 +145,65 @@ fn three_charger_ledgers_sum_to_fleet_total() {
         assert!(rep.rounds > 0, "short horizon must still trigger rounds");
     }
 }
+
+/// FNV-1a over the report fields every lifetime consumer reads, plus a
+/// hash of the trace tail's Debug text, so one constant pins a run.
+fn report_digest(rep: &bundle_charging::des::DesReport) -> u64 {
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    let mut trace = 0xcbf2_9ce4_8422_2325;
+    fnv(&mut trace, format!("{:?}", rep.trace).as_bytes());
+    let count = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for word in [
+        count(rep.rounds),
+        rep.charger_energy_j.get().to_bits(),
+        rep.downtime_sensor_s.get().to_bits(),
+        rep.availability.to_bits(),
+        count(rep.replans),
+        count(rep.base_returns),
+        count(rep.fault_deaths),
+        rep.events_processed,
+        trace,
+    ] {
+        fnv(&mut h, &word.to_le_bytes());
+    }
+    h
+}
+
+/// The golden-digest scenario: 30 sensors on a 200 m field, r = 30 m,
+/// BC, 12 h horizon.
+fn golden_scenario() -> Scenario {
+    let net = deploy::uniform(30, Aabb::square(200.0), 2.0, 21);
+    let mut sc = Scenario::paper_sim(net, 30.0, Algorithm::Bc);
+    sc.horizon_s = Seconds(12.0 * 3600.0);
+    sc
+}
+
+/// One charger fault-free, one charger faulty under each recovery
+/// policy, and a fault-free 3-charger fleet under each dispatch policy:
+/// every report must keep its digest bit for bit.
+#[test]
+fn des_reports_match_golden_digests() {
+    let faulty = |policy| {
+        golden_scenario().with_faults(FaultModel::with_rate(11, 0.3), policy)
+    };
+    let fleet = |pick| golden_scenario().with_fleet(3, policy(pick));
+    let cases: [(&str, Scenario, u64); 7] = [
+        ("single fault-free", golden_scenario(), 0xca92_22b7_562f_e219),
+        ("single skip", faulty(RecoveryPolicy::SkipAndContinue), 0xbb55_2892_68a3_d654),
+        ("single replan", faulty(RecoveryPolicy::ReplanRemaining), 0x4a8d_580f_c06c_fead),
+        ("single return-to-base", faulty(RecoveryPolicy::ReturnToBase), 0xcc62_a909_23ae_bef7),
+        ("fleet nearest-idle", fleet(0), 0xcd28_ad15_8961_7087),
+        ("fleet round-robin", fleet(1), 0x641b_cea4_ded2_bb20),
+        ("fleet bundle-partition", fleet(2), 0xe2ee_dff8_3d70_429b),
+    ];
+    for (name, sc, want) in cases {
+        let got = report_digest(&run(&sc).expect("golden run"));
+        assert_eq!(got, want, "{name}: report digest {got:#018x}, golden {want:#018x}");
+    }
+}

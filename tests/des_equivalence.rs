@@ -1,15 +1,20 @@
 //! DES ↔ reference-integrator equivalence.
 //!
-//! `sim::lifetime::simulate` now runs on the `bc-des` event engine;
-//! `simulate_reference` is the legacy continuous integrator kept as an
-//! oracle. For single-charger, fault-free scenarios the two must agree:
-//! same round count, same death set, sensor death times within one legacy
-//! timestep, and charger energy within 1%.
+//! Lifetime runs go through `bc_des::run`; `simulate_reference` is the
+//! legacy fixed-interval integrator kept as an oracle. For single-charger,
+//! fault-free scenarios the two must agree: same round count, same death
+//! set, sensor death times within one legacy timestep, and charger energy
+//! within 1%.
+
+mod lifetime_oracle;
 
 use bundle_charging::core::planner::Algorithm;
-use bundle_charging::sim::lifetime::{simulate, simulate_reference, LifetimeConfig};
-use bundle_charging::wsn::deploy;
+use bundle_charging::core::{FaultModel, RecoveryPolicy};
+use bundle_charging::des::{run, Scenario};
 use bundle_charging::geom::Aabb;
+use bundle_charging::units::{Joules, Seconds};
+use bundle_charging::wsn::deploy;
+use lifetime_oracle::{simulate_reference, LifetimeReport};
 
 /// One legacy timestep: the reference integrator advances round by round,
 /// but resolves battery crossings analytically, so agreement should be
@@ -21,11 +26,11 @@ fn des_matches_reference_on_ten_seeds() {
     for seed in 0..10u64 {
         let n = 12 + usize::try_from(seed % 3).unwrap() * 6; // 12, 18, 24 sensors
         let net = deploy::uniform(n, Aabb::square(250.0), 2.0, seed);
-        let mut cfg = LifetimeConfig::paper_sim(n, 25.0, Algorithm::Bc);
-        cfg.horizon_s = bundle_charging::units::Seconds(6.0 * 3600.0);
+        let mut sc = Scenario::paper_sim(net, 25.0, Algorithm::Bc);
+        sc.horizon_s = Seconds(6.0 * 3600.0);
 
-        let des = simulate(&net, &cfg);
-        let reference = simulate_reference(&net, &cfg);
+        let des = run(&sc).expect("des run");
+        let reference = simulate_reference(&sc);
 
         assert_eq!(
             des.rounds, reference.rounds,
@@ -85,12 +90,12 @@ fn des_matches_reference_on_ten_seeds() {
 #[test]
 fn des_matches_reference_downtime_accounting() {
     let net = deploy::uniform(20, Aabb::square(300.0), 2.0, 77);
-    let mut cfg = LifetimeConfig::paper_sim(20, 30.0, Algorithm::BcOpt);
+    let mut sc = Scenario::paper_sim(net.clone(), 30.0, Algorithm::BcOpt);
     // Short horizon with an undersized trigger so some sensors actually die.
-    cfg.horizon_s = bundle_charging::units::Seconds(8.0 * 3600.0);
+    sc.horizon_s = Seconds(8.0 * 3600.0);
 
-    let des = simulate(&net, &cfg);
-    let reference = simulate_reference(&net, &cfg);
+    let des = run(&sc).expect("des run");
+    let reference = simulate_reference(&sc);
 
     let dt = (des.downtime_sensor_s.get() - reference.downtime_sensor_s.get()).abs();
     assert!(
@@ -102,5 +107,60 @@ fn des_matches_reference_downtime_accounting() {
     assert!(
         (des.max_battery_j.get() - reference.max_battery_j.get()).abs() < 1e-6,
         "max battery diverges"
+    );
+}
+
+fn small_scenario(algorithm: Algorithm) -> Scenario {
+    Scenario::paper_sim(deploy::uniform(30, Aabb::square(200.0), 2.0, 3), 30.0, algorithm)
+}
+
+#[test]
+fn empty_network_trivial_report() {
+    let net = deploy::uniform(0, Aabb::square(10.0), 2.0, 0);
+    let clean = Scenario::paper_sim(net, 10.0, Algorithm::Bc);
+    let faulty = clean
+        .clone()
+        .with_faults(FaultModel::with_rate(3, 0.2), RecoveryPolicy::ReplanRemaining);
+    for sc in [clean, faulty] {
+        let rep = run(&sc).expect("des run");
+        assert_eq!(rep.rounds, 0);
+        assert_eq!(rep.availability, 1.0);
+        assert_eq!(LifetimeReport::from(&rep), simulate_reference(&sc));
+    }
+}
+
+#[test]
+fn recharges_never_overfill_batteries() {
+    // Regression: recharged energy must be clamped at capacity, in both
+    // the DES path and the reference integrator.
+    let sc = small_scenario(Algorithm::BcOpt);
+    let des = LifetimeReport::from(&run(&sc).expect("des run"));
+    for rep in [des, simulate_reference(&sc)] {
+        assert!(
+            rep.max_battery_j <= sc.battery_j + Joules(1e-9),
+            "battery overfilled: {} > capacity {}",
+            rep.max_battery_j,
+            sc.battery_j
+        );
+        assert!(rep.max_battery_j > Joules(0.0));
+    }
+}
+
+#[test]
+fn des_agrees_with_reference_integrator() {
+    // The quick check at the default 24 h horizon; the seed sweep above
+    // is the fine-grained one.
+    let sc = small_scenario(Algorithm::Bc);
+    let des = run(&sc).expect("des run");
+    let reference = simulate_reference(&sc);
+    assert_eq!(des.rounds, reference.rounds);
+    assert_eq!(des.sensors_ever_dead, reference.sensors_ever_dead);
+    let rel = (des.charger_energy_j.get() - reference.charger_energy_j.get()).abs()
+        / reference.charger_energy_j.get().max(1.0);
+    assert!(
+        rel < 1e-6,
+        "energy mismatch: des {} vs reference {}",
+        des.charger_energy_j,
+        reference.charger_energy_j
     );
 }

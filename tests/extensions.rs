@@ -5,8 +5,8 @@
 use bundle_charging::core::{
     add_sensor, plan_fleet, remove_sensor, split_into_sorties, tighten, planner,
 };
+use bundle_charging::des::{self, Scenario};
 use bundle_charging::prelude::*;
-use bundle_charging::sim::lifetime::{simulate, LifetimeConfig};
 use bundle_charging::wpt::{ChargingModel, Law};
 
 /// Tighten, then split into sorties: the tightened plan's sorties remain
@@ -91,25 +91,25 @@ fn planners_under_table_law() {
 #[test]
 fn lifetime_single_round_energy_consistent() {
     let net = deploy::uniform(25, Aabb::square(150.0), 2.0, 9);
-    let mut cfg = LifetimeConfig::paper_sim(25, 25.0, Algorithm::Bc);
+    let mut sc = Scenario::paper_sim(net.clone(), 25.0, Algorithm::Bc);
     // Exactly one round fits the horizon: trigger immediately, then end.
-    cfg.trigger_level_j = cfg.battery_j; // everyone is "low" at t = 0
-    cfg.trigger_count = 1;
+    sc.trigger_level_j = sc.battery_j; // everyone is "low" at t = 0
+    sc.trigger_count = 1;
     let sensors: Vec<_> = net
         .sensors()
         .iter()
-        .map(|s| bundle_charging::wsn::Sensor::new(s.id, s.pos, cfg.battery_j.0))
+        .map(|s| bundle_charging::wsn::Sensor::new(s.id, s.pos, sc.battery_j.0))
         .collect();
     let full_net = Network::new(sensors, net.field(), net.base());
-    let plan = planner::try_run(Algorithm::Bc, &full_net, &cfg.planner).unwrap();
+    let plan = planner::try_run(Algorithm::Bc, &full_net, &sc.planner).unwrap();
     // End the horizon a hair before the round completes so a second
     // round can never start (the freshly charged network is instantly
     // "low" again at this trigger level).
-    let round_time = plan.tour_length() / cfg.speed_mps + plan.total_dwell();
-    cfg.horizon_s = round_time - Seconds(0.5);
-    let rep = simulate(&net, &cfg);
+    let round_time = plan.tour_length() / sc.speed_mps + plan.total_dwell();
+    sc.horizon_s = round_time - Seconds(0.5);
+    let rep = des::run(&sc).unwrap();
     assert_eq!(rep.rounds, 1);
-    let expected = plan.metrics(&cfg.planner.energy).total_energy_j;
+    let expected = plan.metrics(&sc.planner.energy).total_energy_j;
     assert!(
         (rep.charger_energy_j - expected).abs() / expected < 0.01,
         "lifetime {} vs plan {}",
